@@ -77,6 +77,9 @@ NON_CLI_FLAGS = frozenset({
     "--race-budget",
     "--race-shrink-budget",
     "--root",
+    "--seconds",
+    "--trace",
+    "--workload",
     "--write-baseline",
 })
 

@@ -25,9 +25,8 @@ export PYTHONPATH=src
 # id() ordering are banned from the library — plus the RW-set escape
 # checker over every Action subclass (compute/apply must only touch
 # declared object ids), the protocol conformance analyzer (every
-# registered message has senders, a dispatch handler, a codec field
-# encoder, and a decode path; conservation groups counted on both
-# ends), and the schedule-permutation race smoke (the default
+# registered message has senders, a dispatch handler, and a row in the
+# codec's layout table; conservation groups counted on both ends), and the schedule-permutation race smoke (the default
 # scenarios under every permutation rule, ~1s).  The JSON mode is
 # exercised too so the CI output format cannot rot.
 static_analysis() {

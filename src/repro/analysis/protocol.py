@@ -13,9 +13,11 @@ protocol module declares:
 * ``ENVELOPED_MESSAGES`` — messages that only travel nested inside
   another message's fields (no dispatch branch of their own);
 * ``CONSERVATION_GROUPS`` — message groups whose sends/receives are
-  counted into the quiescence check and must stay balanced.
+  counted into the quiescence check and must stay balanced;
+* ``FRAME_LAYOUTS`` — the codec's layout table, one row per type that
+  crosses the wire (encode and decode both walk it).
 
-Both registries are parsed *statically* — the analyzer never imports
+The registries are parsed *statically* — the analyzer never imports
 the code under analysis, so it works on corpora and broken trees alike.
 
 Checks
@@ -30,7 +32,8 @@ Checks
 ``protocol-unregistered``
     A class handled by a dispatcher or covered by the codec but missing
     from ``PROTOCOL_MESSAGES`` (keeps the registry honest; private
-    ``_Names`` are exempt — the ARQ layer is beneath the protocol).
+    ``_Names`` such as the ARQ layer's ``_Packet``/``_Ack`` rows are
+    exempt — that layer is beneath the protocol).
 ``protocol-unaccounted-send``
     A conservation-group message constructed in a function that neither
     bumps the group's ``sent`` counter nor calls a helper that does —
@@ -41,14 +44,10 @@ Checks
     state without bumping the group's ``received`` counter (directly or
     via a counted helper).
 ``codec-fallback``
-    A registered message with no field-encoder branch in
-    ``MessageCodec._encode_body``: it would silently ride the pickle
-    fallback on the parallel backend (bigger frames, no layout
-    guarantee).  Cross-checked at runtime by the
-    ``codec.pickle_fallback`` metric.
-``codec-decode-missing``
-    A field-encoder branch whose message is never constructed in a
-    decode path — an encoder that produces frames nothing can read.
+    A registered message with no row in ``FRAME_LAYOUTS``: the codec
+    would reject it with ``CodecError`` the first time the parallel
+    backend ships it.  Both directions read the same row, so a row is
+    all the codec coverage there is to check.
 
 Findings reuse the lint :class:`~repro.analysis.lint.Finding` shape, so
 the CLI baseline ratchet and ``# lint: allow(...)`` suppressions apply
@@ -88,19 +87,12 @@ PROTOCOL_RULES: Dict[str, str] = {
         "conservation-group dispatch branch without the received bump"
     ),
     "codec-fallback": (
-        "registered message without a MessageCodec field encoder "
-        "(pickles on the wire)"
-    ),
-    "codec-decode-missing": (
-        "field encoder whose message no decode path constructs"
+        "registered message with no row in the FRAME_LAYOUTS table"
     ),
 }
 
 #: Function names that mark a message dispatcher.
 _HANDLER_NAME_RE = re.compile(r"(^|_)(on_|dispatch|deliver|handle)")
-
-#: Function names that mark a codec decode path (decoder coverage).
-_DECODE_NAME_RE = re.compile(r"^(_decode|decode|_r_)")
 
 Site = Tuple[str, int]  # (display path, line)
 
@@ -116,10 +108,9 @@ class MessageFlow:
     conservation: Optional[str] = None
     senders: List[Site] = field(default_factory=list)
     handlers: List[Site] = field(default_factory=list)
-    #: Line of the ``_encode_body`` branch / decode constructor, in the
-    #: protocol-definition module; ``None`` = pickle fallback.
-    encoder_line: Optional[int] = None
-    decoder_line: Optional[int] = None
+    #: Line of the type's ``FRAME_LAYOUTS`` row in the protocol-
+    #: definition module; ``None`` = the codec cannot ship it.
+    layout_line: Optional[int] = None
 
     def to_dict(self) -> dict:
         """JSON form; key order and list order are deterministic."""
@@ -131,8 +122,7 @@ class MessageFlow:
             "conservation": self.conservation,
             "senders": [_site_str(s) for s in sorted(self.senders)],
             "handlers": [_site_str(s) for s in sorted(self.handlers)],
-            "encoder_line": self.encoder_line,
-            "decoder_line": self.decoder_line,
+            "layout_line": self.layout_line,
         }
 
 
@@ -163,19 +153,15 @@ class ProtocolModel:
 # ----------------------------------------------------------------------
 # AST helpers
 # ----------------------------------------------------------------------
-def _isinstance_names(
-    test: ast.AST, subject: Optional[str] = None
-) -> List[ast.AST]:
+def _isinstance_names(test: ast.AST) -> List[ast.AST]:
     """Class-name nodes of an ``isinstance(x, T)`` / ``not isinstance``
-    / ``type(x) is T`` test; empty list when the test is neither.
-    With ``subject``, only tests whose first argument is that exact
-    name count (filters nested helper-variable tests)."""
+    / ``type(x) is T`` test; empty list when the test is neither."""
     if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-        return _isinstance_names(test.operand, subject)
+        return _isinstance_names(test.operand)
     if isinstance(test, ast.BoolOp):
         names: List[ast.AST] = []
         for value in test.values:
-            names.extend(_isinstance_names(value, subject))
+            names.extend(_isinstance_names(value))
         return names
     if (
         isinstance(test, ast.Call)
@@ -183,10 +169,6 @@ def _isinstance_names(
         and test.func.id == "isinstance"
         and len(test.args) == 2
     ):
-        if subject is not None and not (
-            isinstance(test.args[0], ast.Name) and test.args[0].id == subject
-        ):
-            return []
         target = test.args[1]
         if isinstance(target, ast.Tuple):
             return list(target.elts)
@@ -200,11 +182,6 @@ def _isinstance_names(
         and test.left.func.id == "type"
         and len(test.left.args) == 1
     ):
-        if subject is not None and not (
-            isinstance(test.left.args[0], ast.Name)
-            and test.left.args[0].id == subject
-        ):
-            return []
         return [test.comparators[0]]
     return []
 
@@ -257,7 +234,7 @@ def _functions(tree: ast.AST):
 
 
 # ----------------------------------------------------------------------
-# Protocol-definition module (registries + codec tag table)
+# Protocol-definition module (registries + codec layout table)
 # ----------------------------------------------------------------------
 @dataclass
 class _Definition:
@@ -266,8 +243,7 @@ class _Definition:
     enveloped: List[str] = field(default_factory=list)
     conservation: Dict[str, dict] = field(default_factory=dict)
     class_lines: Dict[str, int] = field(default_factory=dict)
-    encoder_lines: Dict[str, int] = field(default_factory=dict)
-    decoder_lines: Dict[str, int] = field(default_factory=dict)
+    layout_lines: Dict[str, int] = field(default_factory=dict)
 
 
 def _tuple_of_names(node: ast.AST) -> Optional[List[str]]:
@@ -306,29 +282,15 @@ def _extract_definition(path: str, tree: ast.Module) -> Optional[_Definition]:
                 groups = None
             if isinstance(groups, dict):
                 definition.conservation = groups
+        elif target.id == "FRAME_LAYOUTS" and isinstance(node.value, ast.Dict):
+            for key in node.value.keys:
+                if isinstance(key, ast.Name):
+                    definition.layout_lines.setdefault(key.id, key.lineno)
     if not found_registry:
         return None
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             definition.class_lines[node.name] = node.lineno
-    for func in _functions(tree):
-        if func.name == "_encode_body":
-            params = [a.arg for a in func.args.args if a.arg != "self"]
-            subject = params[0] if params else None
-            for sub in ast.walk(func):
-                if isinstance(sub, ast.If):
-                    for name, line in _name_ids(
-                        _isinstance_names(sub.test, subject)
-                    ):
-                        definition.encoder_lines.setdefault(name, line)
-        elif _DECODE_NAME_RE.search(func.name):
-            for sub in ast.walk(func):
-                if isinstance(sub, ast.Call) and isinstance(
-                    sub.func, ast.Name
-                ):
-                    definition.decoder_lines.setdefault(
-                        sub.func.id, sub.lineno
-                    )
     return definition
 
 
@@ -408,7 +370,7 @@ def analyze_paths(
 
     ``paths`` are files or directories; the file assigning
     ``PROTOCOL_MESSAGES`` (normally ``core/messages.py``) is discovered
-    among them and doubles as the codec tag table.  Raises
+    among them and also holds the codec's ``FRAME_LAYOUTS`` table.  Raises
     ``SyntaxError`` on unparsable files — callers surface it as exit
     code 2, like the other checks.
     """
@@ -449,7 +411,7 @@ def analyze_paths(
 
     known: Set[str] = set(definition.registry)
     known.update(definition.enveloped)
-    known.update(definition.encoder_lines)
+    known.update(definition.layout_lines)
     known.update(
         name
         for name in definition.class_lines
@@ -464,8 +426,7 @@ def analyze_paths(
             registered=name in definition.registry,
             enveloped=name in definition.enveloped,
             conservation=conservation_of.get(name),
-            encoder_line=definition.encoder_lines.get(name),
-            decoder_line=definition.decoder_lines.get(name),
+            layout_line=definition.layout_lines.get(name),
         )
 
     scans = [
@@ -510,8 +471,10 @@ def analyze_paths(
                 f"{name} is dispatched here but never constructed in any "
                 "scanned module",
             )
-        if (flow.handlers or flow.encoder_line is not None) and not (
-            flow.registered or flow.enveloped
+        if (
+            (flow.handlers or flow.layout_line is not None)
+            and not (flow.registered or flow.enveloped)
+            and not name.startswith("_")
         ):
             report(
                 def_path,
@@ -520,22 +483,13 @@ def analyze_paths(
                 f"{name} is part of the wire protocol but missing from "
                 "PROTOCOL_MESSAGES",
             )
-        if flow.registered and flow.encoder_line is None:
+        if flow.registered and flow.layout_line is None:
             report(
                 def_path,
                 def_line,
                 "codec-fallback",
-                f"{name} has no MessageCodec._encode_body branch: it "
-                "would ship via the pickle fallback on the parallel "
-                "backend",
-            )
-        if flow.encoder_line is not None and flow.decoder_line is None:
-            report(
-                definition.path,
-                flow.encoder_line,
-                "codec-decode-missing",
-                f"{name} has a field encoder but no decode path "
-                "constructs it",
+                f"{name} has no FRAME_LAYOUTS row: the codec would "
+                "reject it on the parallel backend",
             )
 
     # -- conservation accounting ----------------------------------------

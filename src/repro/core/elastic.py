@@ -1,6 +1,6 @@
 """Elastic load-aware sharding: variable-width stripes, epoch-versioned.
 
-The static :class:`~repro.core.sharded.RegionPartition` slices the
+At version 0 :class:`~repro.core.sharded.RegionPartition` slices the
 world into K equal vertical stripes; a flash crowd in one stripe
 leaves the other K-1 shards idle.  This module holds the *data plane*
 of the elastic rebalancer (docs/elasticity.md):
@@ -15,17 +15,18 @@ of the elastic rebalancer (docs/elasticity.md):
   not yet committed) set of interior cuts, used for the
   union-of-epochs span classification during a rebalance.
 
-The mutable partition itself
-(:class:`~repro.core.sharded.ElasticPartition`) lives next to the
-static :class:`~repro.core.sharded.RegionPartition` it subclasses; the
-control-plane protocol (load rounds, fences, region syncs, drain
-barrier) lives on :class:`~repro.core.sharded.ShardServer`; the
-messages live in :mod:`repro.core.messages`.
+The versioned partition itself
+(:class:`~repro.core.sharded.RegionPartition`, flipped by its
+``apply``) lives in :mod:`repro.core.sharded`; the control-plane
+protocol (load rounds, fences, region syncs, drain barrier) lives on
+:class:`~repro.core.sharded.ShardServer`; the messages live in
+:mod:`repro.core.messages`.
 
-A deployment without an :class:`ElasticConfig` never constructs any of
-this — the static partition object, classification, and handoff paths
-are untouched, which is what keeps ``--elastic`` off byte-identical to
-the static engine (the differential tests pin this down).
+A deployment without an :class:`ElasticConfig` never uses any of this
+— its one shared partition stays at version 0, and the classification
+and handoff paths are untouched, which is what keeps ``--elastic`` off
+byte-identical to the static engine (the differential tests pin this
+down).
 """
 
 from __future__ import annotations

@@ -6,25 +6,28 @@ relative magnitudes without a real serialization format.
 
 For transports that really do cross a process boundary (the parallel
 shard backend, :mod:`repro.net.backend`) the module also provides
-:class:`MessageCodec`, a compact binary encoding: length-prefixed,
-tag-dispatched struct frames for every protocol message, with hot
-payloads (move actions, blind writes, results) field-encoded and an
-object-payload pickle fallback for anything exotic.  The encoding is
-self-delimiting, so the same frames can back a checkpoint or WAL file.
+:class:`MessageCodec`, a compact binary encoding driven by one table,
+:data:`FRAME_LAYOUTS`: each message type's tag and its fields in wire
+order, each field naming a small reusable layout (integers, floats,
+strings, action ids, optional values, sequences, records, actions,
+nested frames, attribute values).  The encoder and the decoder walk the
+same row.  A type with no row is rejected with :class:`CodecError`,
+and so is every malformed frame: nothing on the wire is unpickled.
+Frames are length-prefixed and self-delimiting, so the same frames can
+back a checkpoint or WAL file.
 """
 
 from __future__ import annotations
 
-import io
-import pickle
 import struct
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.action import Action, ActionId, ActionResult, BlindWrite
 from repro.errors import ProtocolError
+from repro.net.network import _Ack, _Packet
 from repro.types import ClientId, TimeMs
+from repro.world.geometry import Vec2
 
 
 @dataclass(frozen=True)
@@ -544,117 +547,418 @@ def _result_size(result: ActionResult) -> int:
 
 # ----------------------------------------------------------------------
 # Binary codec
+#
+# Every frame's layout is stated once, as a row of FRAME_LAYOUTS: the
+# message type, its tag, and its fields in wire order.  Each field
+# names one of the small reusable layouts below; MessageCodec.encode
+# and MessageCodec._decode_frame walk the same row, so the two
+# directions cannot drift.  A layout has ``write(codec, out, value)``,
+# which appends the value's bytes, and ``read(codec, reader)``, which
+# rebuilds it; the codec carries the decode context.
 # ----------------------------------------------------------------------
 class CodecError(ProtocolError):
     """A binary frame could not be encoded or decoded.
 
-    Raised for truncated frames, unknown message tags, and decode
-    contexts that lack the world geometry a payload references.
+    Raised for types with no wire layout, truncated or malformed
+    frames, unknown tags, invalid UTF-8, nesting deeper than
+    :data:`MAX_NESTING`, and decode contexts that lack the world
+    geometry a payload references.
     """
 
 
+#: Deepest nesting the codec accepts, applied separately to frames
+#: inside frames (``PeerForward``, the ARQ payload) and to tuples
+#: inside attribute values.  The protocol nests at most three frames
+#: deep; the cap only keeps a hostile frame from exhausting the stack.
+MAX_NESTING = 32
+
 _FRAME_HEADER = struct.Struct(">BI")  # (tag, body length)
 _U32 = struct.Struct(">I")
-_I64 = struct.Struct(">q")
-_F64 = struct.Struct(">d")
-_ACTION_ID = struct.Struct(">qq")
-_VEC2 = struct.Struct(">dd")
-
-#: Frame tags.  Values are part of the on-wire format: never renumber.
-_TAG_SUBMIT = 1
-_TAG_ORDERED = 2
-_TAG_BATCH = 3
-_TAG_COMPLETION = 4
-_TAG_ABORT_NOTICE = 5
-_TAG_STATE_UPDATE = 6
-_TAG_HEARTBEAT = 7
-_TAG_RELAYED = 8
-_TAG_PEER_FORWARD = 9
-_TAG_GROUP_BUNDLE = 10
-_TAG_SPAN_FORWARD = 16
-_TAG_SPAN_SPLICE = 17
-_TAG_SPAN_RESULT = 18
-_TAG_SPAN_ABORT = 19
-_TAG_HANDOFF_PREPARE = 20
-_TAG_HANDOFF_READY = 21
-_TAG_HANDOFF_TRANSFER = 22
-_TAG_HANDOFF_WELCOME = 23
-_TAG_ARQ_PACKET = 24
-_TAG_ARQ_ACK = 25
-_TAG_LOAD_REPORT = 32
-_TAG_PARTITION_UPDATE = 33
-_TAG_DRAIN_DONE = 34
-_TAG_PARTITION_COMMIT = 35
-_TAG_REGION_SYNC = 36
-_TAG_LEASE_HEARTBEAT = 37
-_TAG_LEASE_REQUEST = 38
-_TAG_LEASE_VOTE = 39
-_TAG_LEASE_GRANT = 40
-_TAG_SHARD_HELLO = 41
-_TAG_CLIENT_HELLO = 42
-_TAG_COMMIT_NOTICE = 43
-_TAG_PICKLED = 127
-
-#: Action sub-tags (inside frame bodies).
-_ACT_MOVE = ord("M")
-_ACT_BLIND = ord("B")
-_ACT_PICKLED = ord("P")
-
-#: GroupBundle member-item markers: shared-table reference vs inline entry.
-_GB_REF = ord("R")
-_GB_ENTRY = ord("E")
-
-#: Attribute-value sub-tags.
-_VAL_NONE = ord("N")
-_VAL_TRUE = ord("T")
-_VAL_FALSE = ord("F")
-_VAL_INT = ord("I")
-_VAL_FLOAT = ord("D")
-_VAL_STR = ord("S")
-_VAL_TUPLE = ord("U")
-_VAL_PICKLED = ord("P")
-
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
-#: Message-type names already warned about at the pickle fallback; the
-#: warning fires once per type per process, the per-codec count keeps
-#: incrementing (see :attr:`MessageCodec.pickle_fallbacks`).
-_FALLBACK_WARNED: set = set()
-
-#: Token stored in pickle streams wherever a wall field appeared; the
-#: decoding codec resolves it to its own bound :class:`WallField` so the
-#: (large, immutable, world-derived) wall index never crosses the wire.
-_WALLS_TOKEN = "walls"
-
 
 class _Reader:
-    """Cursor over an immutable buffer; every read checks bounds."""
+    """Cursor over an immutable buffer; every read checks bounds.
+    ``depth`` counts the frames enclosing the buffer."""
 
-    __slots__ = ("_view", "pos")
+    __slots__ = ("_view", "_end", "pos", "depth")
 
-    def __init__(self, data: bytes, pos: int = 0) -> None:
+    def __init__(self, data, depth: int = 0) -> None:
         self._view = memoryview(data)
-        self.pos = pos
+        self._end = len(self._view)
+        self.pos = 0
+        self.depth = depth
 
     def remaining(self) -> int:
-        return len(self._view) - self.pos
+        return self._end - self.pos
 
-    def read(self, count: int) -> memoryview:
-        if count < 0 or self.remaining() < count:
+    def _advance(self, count: int) -> int:
+        start = self.pos
+        if count > self._end - start:
             raise CodecError(
                 f"truncated frame: wanted {count} bytes at offset "
-                f"{self.pos}, have {self.remaining()}"
+                f"{start}, have {self._end - start}"
             )
-        chunk = self._view[self.pos : self.pos + count]
-        self.pos += count
-        return chunk
+        self.pos = start + count
+        return start
+
+    def read(self, count: int) -> memoryview:
+        return self._view[self._advance(count) : self.pos]
 
     def unpack(self, fmt: struct.Struct) -> tuple:
-        return fmt.unpack(self.read(fmt.size))
+        return fmt.unpack_from(self._view, self._advance(fmt.size))
 
     def byte(self) -> int:
-        return self.read(1)[0]
+        return self._view[self._advance(1)]
+
+    def count(self) -> int:
+        return self.unpack(_U32)[0]
+
+
+class _Fixed:
+    """A fixed-width struct; a multi-field one rebuilds through ``make``."""
+
+    def __init__(self, fmt: str, make=None) -> None:
+        self._struct = struct.Struct(fmt)
+        self._make = make
+
+    def write(self, codec, out: bytearray, value) -> None:
+        if self._make is None:
+            out += self._struct.pack(value)
+        else:
+            out += self._struct.pack(*value)
+
+    def read(self, codec, r: _Reader):
+        fields = r.unpack(self._struct)
+        return fields[0] if self._make is None else self._make(*fields)
+
+
+class _Str:
+    """UTF-8 text behind a u32 byte count."""
+
+    def write(self, codec, out: bytearray, text: str) -> None:
+        raw = text.encode("utf-8")
+        out += _U32.pack(len(raw))
+        out += raw
+
+    def read(self, codec, r: _Reader) -> str:
+        raw = r.read(r.count())
+        try:
+            return str(raw, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"string field is not UTF-8: {exc}") from None
+
+
+class _Opt:
+    """A presence byte, then the value if present (``None`` if not)."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+
+    def write(self, codec, out: bytearray, value) -> None:
+        if value is None:
+            out.append(0)
+        else:
+            out.append(1)
+            self._inner.write(codec, out, value)
+
+    def read(self, codec, r: _Reader):
+        return self._inner.read(codec, r) if r.byte() else None
+
+
+class _Seq:
+    """A u32 item count, then the items.  Decodes to a tuple, or with
+    ``as_set`` to a frozenset whose items are written sorted."""
+
+    def __init__(self, item, as_set: bool = False) -> None:
+        self._item = item
+        self._as_set = as_set
+
+    def write(self, codec, out: bytearray, items) -> None:
+        if self._as_set:
+            items = sorted(items)
+        out += _U32.pack(len(items))
+        for item in items:
+            self._item.write(codec, out, item)
+
+    def read(self, codec, r: _Reader):
+        items = [self._item.read(codec, r) for _ in range(r.count())]
+        return frozenset(items) if self._as_set else tuple(items)
+
+
+class _Map:
+    """A u32 entry count, then key/value pairs in insertion order."""
+
+    def __init__(self, key, value) -> None:
+        self._key = key
+        self._value = value
+
+    def write(self, codec, out: bytearray, mapping: dict) -> None:
+        out += _U32.pack(len(mapping))
+        for key, value in mapping.items():
+            self._key.write(codec, out, key)
+            self._value.write(codec, out, value)
+
+    def read(self, codec, r: _Reader) -> dict:
+        key, value = self._key, self._value
+        return {
+            key.read(codec, r): value.read(codec, r) for _ in range(r.count())
+        }
+
+
+class _Tuple:
+    """A fixed-length tuple, one layout per position."""
+
+    def __init__(self, *items) -> None:
+        self._items = items
+
+    def write(self, codec, out: bytearray, value: tuple) -> None:
+        if len(value) != len(self._items):
+            raise CodecError(f"expected {len(self._items)} items: {value!r}")
+        for layout, item in zip(self._items, value):
+            layout.write(codec, out, item)
+
+    def read(self, codec, r: _Reader) -> tuple:
+        return tuple(layout.read(codec, r) for layout in self._items)
+
+
+class _Record:
+    """Named fields in wire order, rebuilt by keyword through ``make``:
+    the record's type, or a factory for a type whose constructor takes
+    other arguments."""
+
+    def __init__(self, make, *fields) -> None:
+        self.make = make
+        self.fields = fields
+
+    def write(self, codec, out: bytearray, value) -> None:
+        for name, layout in self.fields:
+            layout.write(codec, out, getattr(value, name))
+
+    def read(self, codec, r: _Reader):
+        return self.make(
+            **{name: layout.read(codec, r) for name, layout in self.fields}
+        )
+
+
+class _Union:
+    """A sub-tag byte naming the value's exact type, then that type's
+    layout.  ``choices`` returns ``(sub_tag, type, layout)`` rows; it is
+    called on first use, so a row may name a type imported late."""
+
+    def __init__(self, choices) -> None:
+        self._choices = choices
+        self._by_type = self._by_tag = None
+
+    def _resolve(self) -> None:
+        rows = self._choices()
+        self._by_type = {kind: (tag, layout) for tag, kind, layout in rows}
+        self._by_tag = {tag: layout for tag, _, layout in rows}
+
+    def write(self, codec, out: bytearray, value) -> None:
+        if self._by_type is None:
+            self._resolve()
+        choice = self._by_type.get(type(value))
+        if choice is None:
+            codec._note_fallback(type(value).__name__)
+        tag, layout = choice
+        out.append(tag)
+        layout.write(codec, out, value)
+
+    def read(self, codec, r: _Reader):
+        if self._by_tag is None:
+            self._resolve()
+        tag = r.byte()
+        if tag not in self._by_tag:
+            raise CodecError(f"unknown sub-tag {tag}")
+        return self._by_tag[tag].read(codec, r)
+
+
+class _Walls:
+    """The codec's bound wall field.  It is seed-derived and identical
+    on every host, so it never ships: encoding writes nothing, decoding
+    rebinds the decoder's own copy."""
+
+    def write(self, codec, out: bytearray, walls) -> None:
+        pass
+
+    def read(self, codec, r: _Reader):
+        if codec._walls is None:
+            raise CodecError("cannot decode MoveAction: no wall field bound")
+        return codec._walls
+
+
+class _Frame:
+    """A nested frame, header included."""
+
+    def write(self, codec, out: bytearray, message) -> None:
+        out += codec.encode(message)
+
+    def read(self, codec, r: _Reader):
+        return codec._decode_frame(r)
+
+
+_I64 = _Fixed(">q")
+_F64 = _Fixed(">d")
+_FLAG = _Fixed(">?")
+_STR = _Str()
+_AID = _Fixed(">qq", ActionId)
+_VEC2 = _Fixed(">dd", Vec2)
+
+#: Attribute-value sub-tags: constants, scalars, and tuples.
+_CONSTANT_TAGS = {None: ord("N"), True: ord("T"), False: ord("F")}
+_CONSTANTS = {tag: value for value, tag in _CONSTANT_TAGS.items()}
+_SCALAR_TAGS = {
+    int: (ord("I"), _I64), float: (ord("D"), _F64), str: (ord("S"), _STR)
+}
+_SCALARS = {tag: layout for tag, layout in _SCALAR_TAGS.values()}
+_TUPLE_TAG = ord("U")
+
+
+class _Value:
+    """An attribute value: None, a bool, an int64, a float, a str, or a
+    tuple of values nested at most :data:`MAX_NESTING` deep."""
+
+    def write(self, codec, out: bytearray, value, depth: int = 0) -> None:
+        kind = type(value)
+        if value is None or kind is bool:
+            out.append(_CONSTANT_TAGS[value])
+        elif kind in _SCALAR_TAGS:
+            if kind is int and not _INT64_MIN <= value <= _INT64_MAX:
+                raise CodecError(f"attribute value {value} overflows int64")
+            tag, layout = _SCALAR_TAGS[kind]
+            out.append(tag)
+            layout.write(codec, out, value)
+        elif kind is tuple:
+            _check_depth(depth, "tuple values")
+            out.append(_TUPLE_TAG)
+            out += _U32.pack(len(value))
+            for item in value:
+                self.write(codec, out, item, depth + 1)
+        else:
+            codec._note_fallback(kind.__name__)
+
+    def read(self, codec, r: _Reader, depth: int = 0):
+        tag = r.byte()
+        if tag in _CONSTANTS:
+            return _CONSTANTS[tag]
+        if tag in _SCALARS:
+            return _SCALARS[tag].read(codec, r)
+        if tag != _TUPLE_TAG:
+            raise CodecError(f"unknown value sub-tag {tag}")
+        _check_depth(depth, "tuple values")
+        return tuple(self.read(codec, r, depth + 1) for _ in range(r.count()))
+
+
+def _check_depth(depth: int, what: str) -> None:
+    if depth >= MAX_NESTING:
+        raise CodecError(f"{what} nested deeper than {MAX_NESTING}")
+
+
+_VALUE = _Value()
+_FRAME = _Frame()
+_STR_SET = _Seq(_STR, as_set=True)
+#: ``(name, value)`` pairs, and ``(oid, attrs)`` pairs canonicalised
+#: like ``ActionResult.written``.
+_ATTRS = _Seq(_Tuple(_STR, _VALUE))
+_WRITTEN = _Seq(_Tuple(_STR, _ATTRS))
+_RESULT = _Record(ActionResult, ("aborted", _FLAG), ("written", _WRITTEN))
+
+
+def _action_choices() -> tuple:
+    # Imported on first use: repro.world imports repro.core.
+    from repro.world.movement import MoveAction
+
+    def move(radius, **fields) -> MoveAction:
+        try:
+            return MoveAction(effect_range=radius, **fields)
+        except ProtocolError as exc:
+            raise CodecError(f"invalid MoveAction: {exc}") from exc
+
+    def blind(action_id, _values, origin) -> BlindWrite:
+        return BlindWrite(action_id, _values, origin=origin)
+
+    return (
+        (ord("M"), MoveAction, _Record(
+            move, ("walls", _Walls()), ("action_id", _AID),
+            ("avatar_oid", _STR), ("neighbors", _STR_SET),
+            ("duration_s", _F64), ("radius", _F64), ("position", _VEC2),
+            ("velocity", _Opt(_VEC2)), ("cost_ms", _F64),
+        )),
+        (ord("B"), BlindWrite, _Record(
+            blind, ("action_id", _AID),
+            ("_values", _Map(_STR, _Map(_STR, _VALUE))),
+            ("origin", _Opt(_AID)),
+        )),
+    )
+
+
+_ACTION = _Union(_action_choices)
+_ENTRY_FIELDS = (("pos", _I64), ("action", _ACTION))
+_ENTRY = _Record(OrderedAction, *_ENTRY_FIELDS)
+_ENTRIES = _Seq(_ENTRY)
+#: A GroupBundle member item: a reference into the shared table, or an
+#: entry carrying a member-specific blind write.
+_BUNDLE_ITEM = _Union(
+    lambda: ((ord("R"), int, _I64), (ord("E"), OrderedAction, _ENTRY))
+)
+_INVOLVED = _Seq(_I64)
+_RESOLVED = _Seq(_AID)
+
+#: The wire layout of every frame: type -> (tag, fields in wire order).
+#: Tags are part of the on-wire format: never renumber.  The protocol
+#: analyzer (repro.analysis.protocol) reads codec coverage from this
+#: literal.
+FRAME_LAYOUTS = {
+    SubmitAction: (1, ("action", _ACTION)),
+    OrderedAction: (2, *_ENTRY_FIELDS),
+    ActionBatch: (3, ("last_installed", _I64), ("entries", _ENTRIES)),
+    Completion: (4, ("pos", _I64), ("action_id", _AID), ("reporter", _I64),
+                 ("result", _RESULT)),
+    AbortNotice: (5, ("action_id", _AID)),
+    StateUpdate: (6, ("values", _WRITTEN), ("cause", _Opt(_AID)),
+                  ("submitted_at", _F64)),
+    Heartbeat: (7, ("sender", _I64)),
+    RelayedAction: (8, ("submitted_at", _F64), ("action", _ACTION)),
+    PeerForward: (9, ("final_dst", _I64), ("payload", _FRAME)),
+    GroupBundle: (10, ("last_installed", _I64), ("shared", _ENTRIES),
+                  ("members", _Seq(_Tuple(_I64, _Seq(_BUNDLE_ITEM))))),
+    SpanForward: (16, ("owner", _I64), ("involved", _INVOLVED),
+                  ("action", _ACTION)),
+    SpanSplice: (17, ("gsn", _I64), ("owner", _I64), ("involved", _INVOLVED),
+                 ("action", _ACTION)),
+    SpanResult: (18, ("gsn", _I64), ("action_id", _AID), ("result", _RESULT)),
+    SpanAbort: (19, ("gsn", _I64), ("action_id", _AID)),
+    HandoffPrepare: (20, ("new_shard", _I64)),
+    HandoffReady: (21, ("client_id", _I64)),
+    HandoffTransfer: (22, ("client_id", _I64), ("radius", _F64),
+                      ("interests", _Opt(_STR_SET)), ("resolved", _RESOLVED)),
+    HandoffWelcome: (23, ("shard", _I64), ("resolved", _RESOLVED)),
+    _Packet: (24, ("seq", _I64), ("base", _I64), ("payload", _Opt(_FRAME))),
+    _Ack: (25, ("upto", _I64)),
+    LoadReport: (32, ("shard", _I64), ("round", _I64), ("cpu_ms", _F64),
+                 ("serialized", _I64), ("clients", _I64)),
+    PartitionUpdate: (33, ("version", _I64), ("boundaries", _Seq(_F64))),
+    DrainDone: (34, ("shard", _I64), ("version", _I64)),
+    PartitionCommit: (35, ("version", _I64)),
+    RegionSync: (36, ("version", _I64), ("lo", _F64), ("hi", _F64),
+                 ("entries", _Seq(_Tuple(_STR, _I64, _I64, _ATTRS)))),
+    LeaseHeartbeat: (37, ("term", _I64), ("holder", _I64)),
+    LeaseRequest: (38, ("term", _I64), ("candidate", _I64)),
+    LeaseVote: (39, ("term", _I64), ("voter", _I64), ("max_gsn", _I64)),
+    LeaseGrant: (40, ("term", _I64), ("holder", _I64), ("gsn_floor", _I64)),
+    ShardHello: (41, ("shard", _I64)),
+    ClientHello: (42, ("client_id", _I64), ("radius", _F64),
+                  ("interests", _Opt(_STR_SET))),
+    CommitNotice: (43, ("pos", _I64), ("action_id", _AID)),
+}
+
+_ROWS = {
+    kind: (tag, _Record(kind, *fields))
+    for kind, (tag, *fields) in FRAME_LAYOUTS.items()
+}
+_ROWS_BY_TAG = {tag: record for tag, record in _ROWS.values()}
 
 
 class MessageCodec:
@@ -663,50 +967,35 @@ class MessageCodec:
     A codec is bound to a decode context: the world's
     :class:`~repro.world.walls.WallField`, which move actions reference
     but never ship (it is seed-derived, identical on every host).  The
-    encoder is context-free; decoding a move action (or any pickled
-    payload that mentions walls) without a bound wall field raises
-    :class:`CodecError`.
+    encoder is context-free; decoding a move action without a bound
+    wall field raises :class:`CodecError`.
 
     Frames are ``tag:u8 | body_length:u32 | body`` and self-delimiting:
     concatenated frames form a valid stream for
-    :meth:`encode_sequence` / :meth:`decode_sequence`.
+    :meth:`encode_sequence` / :meth:`decode_sequence`.  Decoding fails
+    only with :class:`CodecError`.
     """
 
     def __init__(self, walls=None) -> None:
         self._walls = walls
-        #: per-type count of payloads that fell back to pickle framing;
-        #: exported as the ``codec.pickle_fallback`` metric on the
-        #: parallel backend and cross-checked by the static
-        #: codec-coverage verifier (``repro.analysis.protocol``).
-        self.pickle_fallbacks: Dict[str, int] = {}
-        # net-layer ARQ frames travel through worker bundles too; the
-        # import is deferred here to keep repro.core free of a
-        # module-level dependency on repro.net.
-        from repro.net.network import _Ack, _Packet
-
-        self._packet_cls = _Packet
-        self._ack_cls = _Ack
 
     def _note_fallback(self, type_name: str) -> None:
-        self.pickle_fallbacks[type_name] = (
-            self.pickle_fallbacks.get(type_name, 0) + 1
-        )
-        if type_name not in _FALLBACK_WARNED:
-            _FALLBACK_WARNED.add(type_name)
-            warnings.warn(
-                f"MessageCodec: no field encoder for {type_name}; "
-                "falling back to pickle framing",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+        """Reject a message, action or attribute value whose type has
+        no wire layout."""
+        raise CodecError(f"no wire layout for {type_name}")
 
     # -- public API -----------------------------------------------------
     def encode(self, message: object) -> bytes:
         """Encode one message as a single self-delimiting frame."""
-        tag, body = self._encode_body(message)
+        row = _ROWS.get(type(message))
+        if row is None:
+            self._note_fallback(type(message).__name__)
+        tag, record = row
+        body = bytearray()
+        record.write(self, body, message)
         if len(body) > 0xFFFFFFFF:
             raise CodecError(f"frame body too large: {len(body)} bytes")
-        return _FRAME_HEADER.pack(tag, len(body)) + bytes(body)
+        return _FRAME_HEADER.pack(tag, len(body)) + body
 
     def decode(self, data: bytes) -> object:
         """Decode exactly one frame; trailing bytes are an error."""
@@ -730,627 +1019,16 @@ class MessageCodec:
             messages.append(self._decode_frame(reader))
         return messages
 
-    # -- frame bodies ---------------------------------------------------
-    def _encode_body(self, message: object) -> Tuple[int, bytearray]:
-        out = bytearray()
-        if isinstance(message, SubmitAction):
-            self._w_action(out, message.action)
-            return _TAG_SUBMIT, out
-        if isinstance(message, OrderedAction):
-            out += _I64.pack(message.pos)
-            self._w_action(out, message.action)
-            return _TAG_ORDERED, out
-        if isinstance(message, ActionBatch):
-            out += _I64.pack(message.last_installed)
-            out += _U32.pack(len(message.entries))
-            for entry in message.entries:
-                out += _I64.pack(entry.pos)
-                self._w_action(out, entry.action)
-            return _TAG_BATCH, out
-        if isinstance(message, Completion):
-            out += _I64.pack(message.pos)
-            out += _ACTION_ID.pack(*message.action_id)
-            out += _I64.pack(message.reporter)
-            self._w_result(out, message.result)
-            return _TAG_COMPLETION, out
-        if isinstance(message, AbortNotice):
-            out += _ACTION_ID.pack(*message.action_id)
-            return _TAG_ABORT_NOTICE, out
-        if isinstance(message, CommitNotice):
-            out += _I64.pack(message.pos)
-            out += _ACTION_ID.pack(*message.action_id)
-            return _TAG_COMMIT_NOTICE, out
-        if isinstance(message, StateUpdate):
-            self._w_written(out, message.values)
-            self._w_optional_action_id(out, message.cause)
-            out += _F64.pack(message.submitted_at)
-            return _TAG_STATE_UPDATE, out
-        if isinstance(message, Heartbeat):
-            out += _I64.pack(message.sender)
-            return _TAG_HEARTBEAT, out
-        if isinstance(message, RelayedAction):
-            out += _F64.pack(message.submitted_at)
-            self._w_action(out, message.action)
-            return _TAG_RELAYED, out
-        if isinstance(message, PeerForward):
-            out += _I64.pack(message.final_dst)
-            out += self.encode(message.payload)
-            return _TAG_PEER_FORWARD, out
-        if isinstance(message, GroupBundle):
-            out += _I64.pack(message.last_installed)
-            out += _U32.pack(len(message.shared))
-            for entry in message.shared:
-                out += _I64.pack(entry.pos)
-                self._w_action(out, entry.action)
-            out += _U32.pack(len(message.members))
-            for member, items in message.members:
-                out += _I64.pack(member)
-                out += _U32.pack(len(items))
-                for item in items:
-                    if isinstance(item, int):
-                        out.append(_GB_REF)
-                        out += _I64.pack(item)
-                    else:
-                        out.append(_GB_ENTRY)
-                        out += _I64.pack(item.pos)
-                        self._w_action(out, item.action)
-            return _TAG_GROUP_BUNDLE, out
-        if isinstance(message, SpanForward):
-            out += _I64.pack(message.owner)
-            self._w_shard_tuple(out, message.involved)
-            self._w_action(out, message.action)
-            return _TAG_SPAN_FORWARD, out
-        if isinstance(message, SpanSplice):
-            out += _I64.pack(message.gsn)
-            out += _I64.pack(message.owner)
-            self._w_shard_tuple(out, message.involved)
-            self._w_action(out, message.action)
-            return _TAG_SPAN_SPLICE, out
-        if isinstance(message, SpanResult):
-            out += _I64.pack(message.gsn)
-            out += _ACTION_ID.pack(*message.action_id)
-            self._w_result(out, message.result)
-            return _TAG_SPAN_RESULT, out
-        if isinstance(message, SpanAbort):
-            out += _I64.pack(message.gsn)
-            out += _ACTION_ID.pack(*message.action_id)
-            return _TAG_SPAN_ABORT, out
-        if isinstance(message, HandoffPrepare):
-            out += _I64.pack(message.new_shard)
-            return _TAG_HANDOFF_PREPARE, out
-        if isinstance(message, HandoffReady):
-            out += _I64.pack(message.client_id)
-            return _TAG_HANDOFF_READY, out
-        if isinstance(message, HandoffTransfer):
-            out += _I64.pack(message.client_id)
-            out += _F64.pack(message.radius)
-            if message.interests is None:
-                out.append(0)
-            else:
-                out.append(1)
-                out += _U32.pack(len(message.interests))
-                for interest in sorted(message.interests):
-                    self._w_str(out, interest)
-            out += _U32.pack(len(message.resolved))
-            for action_id in message.resolved:
-                out += _ACTION_ID.pack(*action_id)
-            return _TAG_HANDOFF_TRANSFER, out
-        if isinstance(message, HandoffWelcome):
-            out += _I64.pack(message.shard)
-            out += _U32.pack(len(message.resolved))
-            for action_id in message.resolved:
-                out += _ACTION_ID.pack(*action_id)
-            return _TAG_HANDOFF_WELCOME, out
-        if isinstance(message, LoadReport):
-            out += _I64.pack(message.shard)
-            out += _I64.pack(message.round)
-            out += _F64.pack(message.cpu_ms)
-            out += _I64.pack(message.serialized)
-            out += _I64.pack(message.clients)
-            return _TAG_LOAD_REPORT, out
-        if isinstance(message, PartitionUpdate):
-            out += _I64.pack(message.version)
-            out += _U32.pack(len(message.boundaries))
-            for boundary in message.boundaries:
-                out += _F64.pack(boundary)
-            return _TAG_PARTITION_UPDATE, out
-        if isinstance(message, DrainDone):
-            out += _I64.pack(message.shard)
-            out += _I64.pack(message.version)
-            return _TAG_DRAIN_DONE, out
-        if isinstance(message, PartitionCommit):
-            out += _I64.pack(message.version)
-            return _TAG_PARTITION_COMMIT, out
-        if isinstance(message, RegionSync):
-            out += _I64.pack(message.version)
-            out += _F64.pack(message.lo)
-            out += _F64.pack(message.hi)
-            out += _U32.pack(len(message.entries))
-            for oid, gsn, local, attrs in message.entries:
-                self._w_str(out, oid)
-                out += _I64.pack(gsn)
-                out += _I64.pack(local)
-                out += _U32.pack(len(attrs))
-                for name, value in attrs:
-                    self._w_str(out, name)
-                    self._w_value(out, value)
-            return _TAG_REGION_SYNC, out
-        if isinstance(message, LeaseHeartbeat):
-            out += _I64.pack(message.term)
-            out += _I64.pack(message.holder)
-            return _TAG_LEASE_HEARTBEAT, out
-        if isinstance(message, LeaseRequest):
-            out += _I64.pack(message.term)
-            out += _I64.pack(message.candidate)
-            return _TAG_LEASE_REQUEST, out
-        if isinstance(message, LeaseVote):
-            out += _I64.pack(message.term)
-            out += _I64.pack(message.voter)
-            out += _I64.pack(message.max_gsn)
-            return _TAG_LEASE_VOTE, out
-        if isinstance(message, LeaseGrant):
-            out += _I64.pack(message.term)
-            out += _I64.pack(message.holder)
-            out += _I64.pack(message.gsn_floor)
-            return _TAG_LEASE_GRANT, out
-        if isinstance(message, ShardHello):
-            out += _I64.pack(message.shard)
-            return _TAG_SHARD_HELLO, out
-        if isinstance(message, ClientHello):
-            out += _I64.pack(message.client_id)
-            out += _F64.pack(message.radius)
-            if message.interests is None:
-                out.append(0)
-            else:
-                out.append(1)
-                out += _U32.pack(len(message.interests))
-                for interest in sorted(message.interests):
-                    self._w_str(out, interest)
-            return _TAG_CLIENT_HELLO, out
-        if isinstance(message, self._packet_cls):
-            out += _I64.pack(message.seq)
-            out += _I64.pack(message.base)
-            if message.payload is None:
-                out.append(0)
-            else:
-                out.append(1)
-                out += self.encode(message.payload)
-            return _TAG_ARQ_PACKET, out
-        if isinstance(message, self._ack_cls):
-            out += _I64.pack(message.upto)
-            return _TAG_ARQ_ACK, out
-        self._note_fallback(type(message).__name__)
-        blob = self._pickle(message)
-        out += blob
-        return _TAG_PICKLED, out
-
     def _decode_frame(self, reader: _Reader) -> object:
         tag, length = reader.unpack(_FRAME_HEADER)
-        body = _Reader(bytes(reader.read(length)))
-        message = self._decode_body(tag, body)
+        record = _ROWS_BY_TAG.get(tag)
+        if record is None:
+            raise CodecError(f"unknown frame tag {tag}")
+        _check_depth(reader.depth, "frames")
+        body = _Reader(reader.read(length), reader.depth + 1)
+        message = record.read(self, body)
         if body.remaining():
             raise CodecError(
                 f"tag {tag}: {body.remaining()} undecoded body bytes"
             )
         return message
-
-    def _decode_body(self, tag: int, r: _Reader) -> object:
-        if tag == _TAG_SUBMIT:
-            return SubmitAction(self._r_action(r))
-        if tag == _TAG_ORDERED:
-            (pos,) = r.unpack(_I64)
-            return OrderedAction(pos, self._r_action(r))
-        if tag == _TAG_BATCH:
-            (last_installed,) = r.unpack(_I64)
-            (count,) = r.unpack(_U32)
-            entries = tuple(
-                OrderedAction(r.unpack(_I64)[0], self._r_action(r))
-                for _ in range(count)
-            )
-            return ActionBatch(entries, last_installed)
-        if tag == _TAG_COMPLETION:
-            (pos,) = r.unpack(_I64)
-            action_id = ActionId(*r.unpack(_ACTION_ID))
-            (reporter,) = r.unpack(_I64)
-            return Completion(pos, action_id, self._r_result(r), reporter)
-        if tag == _TAG_ABORT_NOTICE:
-            return AbortNotice(ActionId(*r.unpack(_ACTION_ID)))
-        if tag == _TAG_COMMIT_NOTICE:
-            (pos,) = r.unpack(_I64)
-            return CommitNotice(pos, ActionId(*r.unpack(_ACTION_ID)))
-        if tag == _TAG_STATE_UPDATE:
-            values = self._r_written(r)
-            cause = self._r_optional_action_id(r)
-            (submitted_at,) = r.unpack(_F64)
-            return StateUpdate(values, cause, submitted_at)
-        if tag == _TAG_HEARTBEAT:
-            return Heartbeat(r.unpack(_I64)[0])
-        if tag == _TAG_RELAYED:
-            (submitted_at,) = r.unpack(_F64)
-            return RelayedAction(self._r_action(r), submitted_at)
-        if tag == _TAG_PEER_FORWARD:
-            (final_dst,) = r.unpack(_I64)
-            return PeerForward(final_dst, self._decode_frame(r))
-        if tag == _TAG_GROUP_BUNDLE:
-            (last_installed,) = r.unpack(_I64)
-            (count,) = r.unpack(_U32)
-            shared = tuple(
-                OrderedAction(r.unpack(_I64)[0], self._r_action(r))
-                for _ in range(count)
-            )
-            (member_count,) = r.unpack(_U32)
-            members = []
-            for _ in range(member_count):
-                (member,) = r.unpack(_I64)
-                (item_count,) = r.unpack(_U32)
-                items = []
-                for _ in range(item_count):
-                    kind = r.byte()
-                    if kind == _GB_REF:
-                        items.append(r.unpack(_I64)[0])
-                    elif kind == _GB_ENTRY:
-                        items.append(
-                            OrderedAction(r.unpack(_I64)[0], self._r_action(r))
-                        )
-                    else:
-                        raise CodecError(f"unknown bundle item marker {kind}")
-                members.append((member, tuple(items)))
-            return GroupBundle(shared, tuple(members), last_installed)
-        if tag == _TAG_SPAN_FORWARD:
-            (owner,) = r.unpack(_I64)
-            involved = self._r_shard_tuple(r)
-            return SpanForward(owner, involved, self._r_action(r))
-        if tag == _TAG_SPAN_SPLICE:
-            (gsn,) = r.unpack(_I64)
-            (owner,) = r.unpack(_I64)
-            involved = self._r_shard_tuple(r)
-            return SpanSplice(gsn, owner, involved, self._r_action(r))
-        if tag == _TAG_SPAN_RESULT:
-            (gsn,) = r.unpack(_I64)
-            action_id = ActionId(*r.unpack(_ACTION_ID))
-            return SpanResult(gsn, action_id, self._r_result(r))
-        if tag == _TAG_SPAN_ABORT:
-            (gsn,) = r.unpack(_I64)
-            return SpanAbort(gsn, ActionId(*r.unpack(_ACTION_ID)))
-        if tag == _TAG_HANDOFF_PREPARE:
-            return HandoffPrepare(r.unpack(_I64)[0])
-        if tag == _TAG_HANDOFF_READY:
-            return HandoffReady(r.unpack(_I64)[0])
-        if tag == _TAG_HANDOFF_TRANSFER:
-            (client_id,) = r.unpack(_I64)
-            (radius,) = r.unpack(_F64)
-            interests = None
-            if r.byte():
-                (interest_count,) = r.unpack(_U32)
-                interests = frozenset(
-                    self._r_str(r) for _ in range(interest_count)
-                )
-            (resolved_count,) = r.unpack(_U32)
-            resolved = tuple(
-                ActionId(*r.unpack(_ACTION_ID)) for _ in range(resolved_count)
-            )
-            return HandoffTransfer(client_id, radius, interests, resolved)
-        if tag == _TAG_HANDOFF_WELCOME:
-            (shard,) = r.unpack(_I64)
-            (resolved_count,) = r.unpack(_U32)
-            resolved = tuple(
-                ActionId(*r.unpack(_ACTION_ID)) for _ in range(resolved_count)
-            )
-            return HandoffWelcome(shard, resolved)
-        if tag == _TAG_LOAD_REPORT:
-            (shard,) = r.unpack(_I64)
-            (round_,) = r.unpack(_I64)
-            (cpu_ms,) = r.unpack(_F64)
-            (serialized,) = r.unpack(_I64)
-            (clients,) = r.unpack(_I64)
-            return LoadReport(shard, round_, cpu_ms, serialized, clients)
-        if tag == _TAG_PARTITION_UPDATE:
-            (version,) = r.unpack(_I64)
-            (count,) = r.unpack(_U32)
-            boundaries = tuple(r.unpack(_F64)[0] for _ in range(count))
-            return PartitionUpdate(version, boundaries)
-        if tag == _TAG_DRAIN_DONE:
-            (shard,) = r.unpack(_I64)
-            (version,) = r.unpack(_I64)
-            return DrainDone(shard, version)
-        if tag == _TAG_PARTITION_COMMIT:
-            return PartitionCommit(r.unpack(_I64)[0])
-        if tag == _TAG_REGION_SYNC:
-            (version,) = r.unpack(_I64)
-            (lo,) = r.unpack(_F64)
-            (hi,) = r.unpack(_F64)
-            (count,) = r.unpack(_U32)
-            entries = []
-            for _ in range(count):
-                oid = self._r_str(r)
-                (gsn,) = r.unpack(_I64)
-                (local,) = r.unpack(_I64)
-                (attr_count,) = r.unpack(_U32)
-                attrs = tuple(
-                    (self._r_str(r), self._r_value(r))
-                    for _ in range(attr_count)
-                )
-                entries.append((oid, gsn, local, attrs))
-            return RegionSync(version, lo, hi, tuple(entries))
-        if tag == _TAG_LEASE_HEARTBEAT:
-            (term,) = r.unpack(_I64)
-            (holder,) = r.unpack(_I64)
-            return LeaseHeartbeat(term, holder)
-        if tag == _TAG_LEASE_REQUEST:
-            (term,) = r.unpack(_I64)
-            (candidate,) = r.unpack(_I64)
-            return LeaseRequest(term, candidate)
-        if tag == _TAG_LEASE_VOTE:
-            (term,) = r.unpack(_I64)
-            (voter,) = r.unpack(_I64)
-            (max_gsn,) = r.unpack(_I64)
-            return LeaseVote(term, voter, max_gsn)
-        if tag == _TAG_LEASE_GRANT:
-            (term,) = r.unpack(_I64)
-            (holder,) = r.unpack(_I64)
-            (gsn_floor,) = r.unpack(_I64)
-            return LeaseGrant(term, holder, gsn_floor)
-        if tag == _TAG_SHARD_HELLO:
-            return ShardHello(r.unpack(_I64)[0])
-        if tag == _TAG_CLIENT_HELLO:
-            (client_id,) = r.unpack(_I64)
-            (radius,) = r.unpack(_F64)
-            interests = None
-            if r.byte():
-                (interest_count,) = r.unpack(_U32)
-                interests = frozenset(
-                    self._r_str(r) for _ in range(interest_count)
-                )
-            return ClientHello(client_id, radius, interests)
-        if tag == _TAG_ARQ_PACKET:
-            (seq,) = r.unpack(_I64)
-            (base,) = r.unpack(_I64)
-            payload = self._decode_frame(r) if r.byte() else None
-            return self._packet_cls(seq, base, payload)
-        if tag == _TAG_ARQ_ACK:
-            return self._ack_cls(r.unpack(_I64)[0])
-        if tag == _TAG_PICKLED:
-            return self._unpickle(bytes(r.read(r.remaining())))
-        raise CodecError(f"unknown frame tag {tag}")
-
-    # -- actions --------------------------------------------------------
-    def _w_action(self, out: bytearray, action: Action) -> None:
-        from repro.world.movement import MoveAction
-
-        if type(action) is MoveAction:
-            out.append(_ACT_MOVE)
-            out += _ACTION_ID.pack(*action.action_id)
-            self._w_str(out, action.avatar_oid)
-            out += _U32.pack(len(action.neighbors))
-            for neighbor in sorted(action.neighbors):
-                self._w_str(out, neighbor)
-            out += _F64.pack(action.duration_s)
-            out += _F64.pack(action.radius)
-            out += _VEC2.pack(action.position.x, action.position.y)
-            if action.velocity is None:
-                out.append(0)
-            else:
-                out.append(1)
-                out += _VEC2.pack(action.velocity.x, action.velocity.y)
-            out += _F64.pack(action.cost_ms)
-        elif type(action) is BlindWrite:
-            out.append(_ACT_BLIND)
-            out += _ACTION_ID.pack(*action.action_id)
-            self._w_values(out, action._values)
-            self._w_optional_action_id(out, action.origin)
-        else:
-            self._note_fallback(type(action).__name__)
-            blob = self._pickle(action)
-            out.append(_ACT_PICKLED)
-            out += _U32.pack(len(blob))
-            out += blob
-
-    def _r_action(self, r: _Reader) -> Action:
-        from repro.world.geometry import Vec2
-        from repro.world.movement import MoveAction
-
-        kind = r.byte()
-        if kind == _ACT_MOVE:
-            if self._walls is None:
-                raise CodecError(
-                    "cannot decode MoveAction: codec has no wall field bound"
-                )
-            action_id = ActionId(*r.unpack(_ACTION_ID))
-            avatar_oid = self._r_str(r)
-            (neighbor_count,) = r.unpack(_U32)
-            neighbors = frozenset(
-                self._r_str(r) for _ in range(neighbor_count)
-            )
-            (duration_s,) = r.unpack(_F64)
-            (effect_range,) = r.unpack(_F64)
-            position = Vec2(*r.unpack(_VEC2))
-            velocity = Vec2(*r.unpack(_VEC2)) if r.byte() else None
-            (cost_ms,) = r.unpack(_F64)
-            return MoveAction(
-                action_id,
-                avatar_oid,
-                neighbors=neighbors,
-                walls=self._walls,
-                duration_s=duration_s,
-                effect_range=effect_range,
-                position=position,
-                velocity=velocity,
-                cost_ms=cost_ms,
-            )
-        if kind == _ACT_BLIND:
-            action_id = ActionId(*r.unpack(_ACTION_ID))
-            values = self._r_values(r)
-            origin = self._r_optional_action_id(r)
-            return BlindWrite(action_id, values, origin=origin)
-        if kind == _ACT_PICKLED:
-            (length,) = r.unpack(_U32)
-            return self._unpickle(bytes(r.read(length)))
-        raise CodecError(f"unknown action sub-tag {kind}")
-
-    # -- scalar/value helpers -------------------------------------------
-    def _w_str(self, out: bytearray, text: str) -> None:
-        raw = text.encode("utf-8")
-        out += _U32.pack(len(raw))
-        out += raw
-
-    def _r_str(self, r: _Reader) -> str:
-        (length,) = r.unpack(_U32)
-        return str(bytes(r.read(length)), "utf-8")
-
-    def _w_optional_action_id(
-        self, out: bytearray, action_id: Optional[ActionId]
-    ) -> None:
-        if action_id is None:
-            out.append(0)
-        else:
-            out.append(1)
-            out += _ACTION_ID.pack(*action_id)
-
-    def _r_optional_action_id(self, r: _Reader) -> Optional[ActionId]:
-        return ActionId(*r.unpack(_ACTION_ID)) if r.byte() else None
-
-    def _w_shard_tuple(self, out: bytearray, shards: Tuple[int, ...]) -> None:
-        out += _U32.pack(len(shards))
-        for shard in shards:
-            out += _I64.pack(shard)
-
-    def _r_shard_tuple(self, r: _Reader) -> Tuple[int, ...]:
-        (count,) = r.unpack(_U32)
-        return tuple(r.unpack(_I64)[0] for _ in range(count))
-
-    def _w_value(self, out: bytearray, value) -> None:
-        if value is None:
-            out.append(_VAL_NONE)
-        elif value is True:
-            out.append(_VAL_TRUE)
-        elif value is False:
-            out.append(_VAL_FALSE)
-        elif type(value) is int and _INT64_MIN <= value <= _INT64_MAX:
-            out.append(_VAL_INT)
-            out += _I64.pack(value)
-        elif type(value) is float:
-            out.append(_VAL_FLOAT)
-            out += _F64.pack(value)
-        elif type(value) is str:
-            out.append(_VAL_STR)
-            self._w_str(out, value)
-        elif type(value) is tuple:
-            out.append(_VAL_TUPLE)
-            out += _U32.pack(len(value))
-            for item in value:
-                self._w_value(out, item)
-        else:
-            blob = self._pickle(value)
-            out.append(_VAL_PICKLED)
-            out += _U32.pack(len(blob))
-            out += blob
-
-    def _r_value(self, r: _Reader):
-        kind = r.byte()
-        if kind == _VAL_NONE:
-            return None
-        if kind == _VAL_TRUE:
-            return True
-        if kind == _VAL_FALSE:
-            return False
-        if kind == _VAL_INT:
-            return r.unpack(_I64)[0]
-        if kind == _VAL_FLOAT:
-            return r.unpack(_F64)[0]
-        if kind == _VAL_STR:
-            return self._r_str(r)
-        if kind == _VAL_TUPLE:
-            (count,) = r.unpack(_U32)
-            return tuple(self._r_value(r) for _ in range(count))
-        if kind == _VAL_PICKLED:
-            (length,) = r.unpack(_U32)
-            return self._unpickle(bytes(r.read(length)))
-        raise CodecError(f"unknown value sub-tag {kind}")
-
-    def _w_values(self, out: bytearray, values) -> None:
-        """A ValuesDict (oid -> attrs dict), in insertion order."""
-        out += _U32.pack(len(values))
-        for oid, attrs in values.items():
-            self._w_str(out, oid)
-            out += _U32.pack(len(attrs))
-            for name, value in attrs.items():
-                self._w_str(out, name)
-                self._w_value(out, value)
-
-    def _r_values(self, r: _Reader) -> dict:
-        (count,) = r.unpack(_U32)
-        values = {}
-        for _ in range(count):
-            oid = self._r_str(r)
-            (attr_count,) = r.unpack(_U32)
-            attrs = {}
-            for _ in range(attr_count):
-                name = self._r_str(r)
-                attrs[name] = self._r_value(r)
-            values[oid] = attrs
-        return values
-
-    def _w_written(self, out: bytearray, written: tuple) -> None:
-        """A canonicalised written tuple (see ActionResult.of)."""
-        out += _U32.pack(len(written))
-        for oid, attrs in written:
-            self._w_str(out, oid)
-            out += _U32.pack(len(attrs))
-            for name, value in attrs:
-                self._w_str(out, name)
-                self._w_value(out, value)
-
-    def _r_written(self, r: _Reader) -> tuple:
-        (count,) = r.unpack(_U32)
-        written = []
-        for _ in range(count):
-            oid = self._r_str(r)
-            (attr_count,) = r.unpack(_U32)
-            attrs = tuple(
-                (self._r_str(r), self._r_value(r)) for _ in range(attr_count)
-            )
-            written.append((oid, attrs))
-        return tuple(written)
-
-    def _w_result(self, out: bytearray, result: ActionResult) -> None:
-        out.append(1 if result.aborted else 0)
-        self._w_written(out, result.written)
-
-    def _r_result(self, r: _Reader) -> ActionResult:
-        aborted = bool(r.byte())
-        return ActionResult(self._r_written(r), aborted)
-
-    # -- pickle fallback ------------------------------------------------
-    def _pickle(self, obj: object) -> bytes:
-        from repro.world.walls import WallField
-
-        buffer = io.BytesIO()
-        pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-        pickler.persistent_id = (
-            lambda item: _WALLS_TOKEN if isinstance(item, WallField) else None
-        )
-        try:
-            pickler.dump(obj)
-        except Exception as exc:
-            raise CodecError(f"cannot pickle {type(obj).__name__}: {exc}") from exc
-        return buffer.getvalue()
-
-    def _unpickle(self, blob: bytes) -> object:
-        unpickler = pickle.Unpickler(io.BytesIO(blob))
-        unpickler.persistent_load = self._persistent_load
-        try:
-            return unpickler.load()
-        except CodecError:
-            raise
-        except Exception as exc:
-            raise CodecError(f"corrupt pickled payload: {exc}") from exc
-
-    def _persistent_load(self, pid: object) -> object:
-        if pid == _WALLS_TOKEN:
-            if self._walls is None:
-                raise CodecError(
-                    "cannot decode wall-field reference: codec has no "
-                    "wall field bound"
-                )
-            return self._walls
-        raise CodecError(f"unknown persistent id {pid!r}")

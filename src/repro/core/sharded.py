@@ -161,11 +161,19 @@ class ShardingConfig:
 
 
 class RegionPartition:
-    """Vertical-stripe partition of the world's x axis.
+    """Versioned vertical-stripe partition of the world's x axis.
 
-    Stripe k owns x ∈ [k·w, (k+1)·w) with w = world_width / shards;
-    positions outside [0, world_width) clamp to the border stripes, so
-    every position has exactly one owner.
+    Version 0 is the static partition: stripe k owns
+    x ∈ [k·w, (k+1)·w) with w = world_width / shards.  The elastic
+    rebalancer (docs/elasticity.md) flips it with ``apply``, which
+    installs interior cuts — stripe k then owns [cuts[k-1], cuts[k])
+    with the world edges closing the first and last stripe — and bumps
+    the version.  Either way positions outside [0, world_width) clamp
+    to the border stripes, so every position has exactly one owner.
+    A static engine shares one copy across its shards and never flips
+    it; an elastic engine gives each shard server (and hence each
+    partition replica of the parallel backend) its own copy, flipped
+    when the controller's ``PartitionUpdate`` arrives.
 
     >>> partition = RegionPartition(100.0, 4)
     >>> partition.shard_of(10.0), partition.shard_of(99.0)
@@ -174,6 +182,15 @@ class RegionPartition:
     (0, 1)
     >>> partition.shards_touching(50.0, 0.0)
     (2,)
+    >>> partition.boundaries, partition.version
+    ([25.0, 50.0, 75.0], 0)
+    >>> partition.apply(1, (40.0, 50.0, 60.0))
+    >>> partition.shard_of(10.0), partition.shard_of(45.0), partition.version
+    (0, 1, 1)
+    >>> partition.bounds(3)
+    (60.0, 100.0)
+    >>> partition.shards_touching(55.0, 10.0)
+    (1, 2, 3)
     """
 
     def __init__(self, world_width: float, shards: int) -> None:
@@ -184,14 +201,33 @@ class RegionPartition:
         self.world_width = world_width
         self.shards = shards
         self.stripe_width = world_width / shards
+        self.version = 0
+        self.boundaries: List[float] = [
+            self.stripe_width * k for k in range(1, shards)
+        ]
+
+    def apply(self, version: int, boundaries: Sequence[float]) -> None:
+        """Flip to partition ``version`` with the given interior cuts."""
+        self.version = version
+        self.boundaries = list(boundaries)
 
     def shard_of(self, x: float) -> int:
         """Owner stripe of position ``x`` (clamped at the borders)."""
+        if self.version:
+            return bisect_right(self.boundaries, x)
         return min(self.shards - 1, max(0, int(x / self.stripe_width)))
 
     def bounds(self, shard: int) -> Tuple[float, float]:
         """The [lo, hi) x-interval stripe ``shard`` owns."""
-        return shard * self.stripe_width, (shard + 1) * self.stripe_width
+        if not self.version:
+            return shard * self.stripe_width, (shard + 1) * self.stripe_width
+        lo = self.boundaries[shard - 1] if shard > 0 else 0.0
+        hi = (
+            self.boundaries[shard]
+            if shard < self.shards - 1
+            else self.world_width
+        )
+        return lo, hi
 
     def shards_touching(self, x: float, radius: float) -> Tuple[int, ...]:
         """Ascending stripe indices intersecting [x - radius, x + radius]."""
@@ -207,67 +243,6 @@ class RegionPartition:
         if lo - margin <= x < hi + margin:
             return current
         return self.shard_of(x)
-
-
-class ElasticPartition(RegionPartition):
-    """Vertical-stripe partition with mutable, versioned boundaries
-    (the elastic rebalancer's data plane — docs/elasticity.md).
-
-    Stripe k owns x in [boundaries[k-1], boundaries[k]) with the world
-    edges closing the first and last stripe; positions outside the
-    world clamp to the border stripes exactly like the static
-    partition.  ``apply`` swaps the interior cuts in place and bumps
-    the version.  Every shard server (and hence every partition
-    replica of the parallel backend) owns its *own copy* and flips it
-    when the controller's ``PartitionUpdate`` arrives, so the flip
-    happens at the same virtual time on every backend.
-
-    >>> partition = ElasticPartition(100.0, 4)
-    >>> partition.boundaries
-    [25.0, 50.0, 75.0]
-    >>> partition.shard_of(10.0), partition.shard_of(99.0)
-    (0, 3)
-    >>> partition.apply(1, (40.0, 50.0, 60.0))
-    >>> partition.shard_of(10.0), partition.shard_of(45.0), partition.version
-    (0, 1, 1)
-    >>> partition.bounds(3)
-    (60.0, 100.0)
-    >>> partition.shards_touching(55.0, 10.0)
-    (1, 2, 3)
-    """
-
-    def __init__(
-        self,
-        world_width: float,
-        shards: int,
-        boundaries: Optional[Sequence[float]] = None,
-    ) -> None:
-        super().__init__(world_width, shards)
-        if boundaries is None:
-            boundaries = [self.stripe_width * k for k in range(1, shards)]
-        if len(boundaries) != shards - 1:
-            raise ConfigurationError(
-                f"need {shards - 1} interior boundaries, got {len(boundaries)}"
-            )
-        self.boundaries: List[float] = list(boundaries)
-        self.version = 0
-
-    def apply(self, version: int, boundaries: Sequence[float]) -> None:
-        """Flip to partition ``version`` with the given interior cuts."""
-        self.version = version
-        self.boundaries = list(boundaries)
-
-    def shard_of(self, x: float) -> int:
-        return bisect_right(self.boundaries, x)
-
-    def bounds(self, shard: int) -> Tuple[float, float]:
-        lo = self.boundaries[shard - 1] if shard > 0 else 0.0
-        hi = (
-            self.boundaries[shard]
-            if shard < self.shards - 1
-            else self.world_width
-        )
-        return lo, hi
 
 
 @dataclass
@@ -1586,14 +1561,10 @@ class ShardedSeveEngine(SeveEngine):
         self._recovery_logs: Dict[int, ShardRecoveryLog] = {}
         self._arm_recovery = bool(shard_windows)
         self._stop_at: Optional[TimeMs] = None
-        if elastic is not None:
-            # Every shard keeps its own mutable partition copy; copies
-            # flip independently as the PartitionUpdate reaches each
-            # shard (docs/elasticity.md).  The engine's copy tracks the
-            # controller's (shard 0 shares the engine partition).
-            self.partition = ElasticPartition(self.sharding.world_width, shards)
-        else:
-            self.partition = RegionPartition(self.sharding.world_width, shards)
+        # Elastic engines give every other shard its own copy, flipped
+        # as the PartitionUpdate reaches it (docs/elasticity.md); the
+        # engine's copy is shard 0's, the controller's.
+        self.partition = RegionPartition(self.sharding.world_width, shards)
         self.predicate = FirstBoundPredicate(
             max_speed=self.world.max_speed,
             rtt_ms=config.rtt_ms,
@@ -1669,7 +1640,7 @@ class ShardedSeveEngine(SeveEngine):
         if self._elastic is None or shard == 0:
             partition = self.partition
         else:
-            partition = ElasticPartition(self.sharding.world_width, shards)
+            partition = RegionPartition(self.sharding.world_width, shards)
         return ShardServer(
             self.sim,
             self.network,

@@ -599,15 +599,6 @@ class PartitionReplica:
             violation.render()
             for violation in (recorder.violations if recorder is not None else ())
         )
-        if self.obs is not None:
-            # Surface transport-codec pickle fallbacks as a metric so the
-            # static codec-coverage claim (repro.analysis.protocol) is
-            # cross-checked at runtime; zero fallbacks leaves the metrics
-            # registry untouched and the merged output byte-identical.
-            for type_name, count in sorted(self.codec.pickle_fallbacks.items()):
-                self.obs.metrics.counter(
-                    f"codec.pickle_fallback.{type_name}"
-                ).inc(count)
         detector = engine.detector
         detection: Tuple = ()
         quarantined: Tuple[ClientId, ...] = ()
@@ -1066,39 +1057,3 @@ def run_partitioned(
             if snapshot.observer is not None:
                 obs.merge_from(snapshot.observer)
     return merged, SimpleNamespace(stats=merged.workload_stats)
-
-
-def run_in_subprocess(architecture: str, settings, *, check_consistency=True):
-    """Execute one complete classic run in a single spawned worker.
-
-    The parallel backend's degenerate case (one shard, or one worker):
-    there is nothing to partition, so the whole ``run_simulation`` —
-    byte-identical to the in-process path by construction — executes in
-    a fresh interpreter and ships its pickled ``RunResult`` back.
-    """
-    from repro.net.worker import single_run_worker_main
-
-    ctx = spawn_context()
-    parent, child = ctx.Pipe()
-    process = ctx.Process(
-        target=single_run_worker_main,
-        args=(child, architecture, settings, check_consistency),
-        daemon=True,
-    )
-    process.start()
-    child.close()
-    try:
-        message = parent.recv()
-    except EOFError:
-        process.join()
-        raise SimulationError(
-            f"parallel run worker exited unexpectedly "
-            f"(exit code {process.exitcode})"
-        )
-    finally:
-        if process.is_alive():
-            process.join(timeout=30)
-        parent.close()
-    if message[0] == "error":
-        raise SimulationError(f"parallel run worker failed:\n{message[1]}")
-    return message[1]

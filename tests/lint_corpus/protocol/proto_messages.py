@@ -1,12 +1,13 @@
 """Known-bad corpus for the protocol conformance analyzer.
 
 A miniature protocol-definition module: the three registries, a codec
-with one missing encoder (``Legacy`` -> codec-fallback) and one
-decoder-less encoder (``WriteOnly`` -> codec-decode-missing), an
-``Orphan`` message nothing dispatches, and an unregistered ``Rogue``
-class the node module handles anyway.  tests/test_protocol_analysis.py
-pins the exact finding histogram; expected_graph.json pins the flow
-graph extracted from this pair of files.
+layout table with no row for ``Legacy`` (-> codec-fallback) and a row
+for the private ``_Envelope`` (exempt from protocol-unregistered, like
+the ARQ layer's rows), an ``Orphan`` message nothing dispatches, and an
+unregistered ``Rogue`` class the node module handles anyway.
+tests/test_protocol_analysis.py pins the exact finding histogram;
+expected_graph.json pins the flow graph extracted from this pair of
+files.
 
 Never imported at runtime — analyzed purely as source.
 """
@@ -32,10 +33,6 @@ class DeadEnd:
     pass
 
 
-class WriteOnly:
-    pass
-
-
 class Rogue:
     pass
 
@@ -44,7 +41,11 @@ class Inner:
     pass
 
 
-PROTOCOL_MESSAGES = (Ping, Pong, Orphan, Legacy, DeadEnd, WriteOnly)
+class _Envelope:
+    pass
+
+
+PROTOCOL_MESSAGES = (Ping, Pong, Orphan, Legacy, DeadEnd)
 ENVELOPED_MESSAGES = (Inner,)
 CONSERVATION_GROUPS = {
     "pings": {
@@ -56,27 +57,10 @@ CONSERVATION_GROUPS = {
 }
 
 
-class _Codec:
-    def _encode_body(self, message):
-        if isinstance(message, Ping):
-            return 1, b""
-        if isinstance(message, Pong):
-            return 2, b""
-        if isinstance(message, Orphan):
-            return 3, b""
-        if isinstance(message, DeadEnd):
-            return 4, b""
-        if isinstance(message, WriteOnly):
-            return 5, b""
-        raise TypeError(message)
-
-    def _decode_body(self, tag):
-        if tag == 1:
-            return Ping()
-        if tag == 2:
-            return Pong()
-        if tag == 3:
-            return Orphan()
-        if tag == 4:
-            return DeadEnd()
-        raise TypeError(tag)
+FRAME_LAYOUTS = {
+    Ping: (1,),
+    Pong: (2,),
+    Orphan: (3,),
+    DeadEnd: (4,),
+    _Envelope: (5,),
+}

@@ -21,7 +21,7 @@ class Node:
         return Ping()  # protocol-unaccounted-send: no pings_sent bump
 
     def send_others(self):
-        return [Pong(), Orphan(), Legacy(), WriteOnly(), Inner(), Rogue()]
+        return [Pong(), Orphan(), Legacy(), Inner(), Rogue(), _Envelope()]
 
     def handle(self, payload):
         if isinstance(payload, Ping):
@@ -31,12 +31,12 @@ class Node:
             self.log.append(payload)
         elif isinstance(payload, Legacy):
             self.log.append(payload)
-        elif isinstance(payload, WriteOnly):
-            self.log.append(payload)
         elif isinstance(payload, DeadEnd):
             self.log.append(payload)  # protocol-dead-handler: no sender
         elif isinstance(payload, Rogue):
             self.log.append(payload)  # protocol-unregistered (at class def)
+        elif isinstance(payload, _Envelope):
+            self.log.append(payload)  # private: exempt from the registry
 
     def on_ping_stats(self, payload):
         if isinstance(payload, Ping):

@@ -3,13 +3,18 @@
 The codec backs the parallel backend's cross-partition transport (every
 cross-shard message in a partitioned run is encoded and decoded through
 it), so the contract here is strict: decode(encode(m)) == m for every
-protocol message type, and malformed frames fail loudly instead of
-yielding garbage.
+protocol message type, every frame keeps its recorded bytes, types
+without a wire layout are rejected, and malformed frames fail with
+:class:`CodecError` and nothing else instead of yielding garbage.
 """
 
 from __future__ import annotations
 
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.action import ActionId, ActionResult, BlindWrite
 from repro.core.messages import (
@@ -21,6 +26,7 @@ from repro.core.messages import (
     Completion,
     CodecError,
     DrainDone,
+    FRAME_LAYOUTS,
     GroupBundle,
     HandoffPrepare,
     HandoffReady,
@@ -184,6 +190,204 @@ MESSAGES = [
     _Ack(17),
 ]
 
+#: The frame bytes of every sample above, in order, recorded before the
+#: codec moved to the layout table; each sample must still encode to
+#: exactly these bytes.
+GOLDEN_FRAMES = [
+    # SubmitAction
+    (
+        "01000000724d0000000000000003000000000000000000000008617661746172"
+        "3a3300000002000000086176617461723a31000000086176617461723a323fd3"
+        "333333333333402400000000000040290000000000004044200000000000013f"
+        "f0000000000000c000000000000000401dc28f5c28f5c3"
+    ),
+    # SubmitAction
+    (
+        "010000006742ffffffffffffffff000000000000000900000001000000086176"
+        "617461723a35000000040000000178443ff8000000000000000000056c616265"
+        "6c5300000005737061776e00000005616c69766554000000016e4e0100000000"
+        "000000050000000000000000"
+    ),
+    # OrderedAction
+    (
+        "020000007a00000000000000074d000000000000000300000000000000010000"
+        "00086176617461723a3300000002000000086176617461723a31000000086176"
+        "617461723a323fd3333333333333402400000000000040290000000000004044"
+        "200000000000013ff0000000000000c000000000000000401dc28f5c28f5c3"
+    ),
+    # ActionBatch
+    (
+        "03000000f5000000000000000300000002ffffffffffffffff42ffffffffffff"
+        "ffff000000000000000900000001000000086176617461723a35000000040000"
+        "000178443ff8000000000000000000056c6162656c5300000005737061776e00"
+        "000005616c69766554000000016e4e0100000000000000050000000000000000"
+        "00000000000000044d0000000000000003000000000000000200000008617661"
+        "7461723a3300000002000000086176617461723a31000000086176617461723a"
+        "323fd33333333333334024000000000000402900000000000040442000000000"
+        "00013ff0000000000000c000000000000000401dc28f5c28f5c3"
+    ),
+    # Completion
+    (
+        "0400000063000000000000000400000000000000030000000000000002000000"
+        "00000000030000000001000000086176617461723a3300000003000000056275"
+        "6d7073490000000000000001000000017844404e000000000000000000017944"
+        "4049000000000000"
+    ),
+    # Completion
+    (
+        "0400000025000000000000000500000000000000030000000000000003ffffff"
+        "fffffffffe0100000000"
+    ),
+    # AbortNotice
+    "05000000100000000000000002000000000000000b",
+    # StateUpdate
+    (
+        "060000005b00000001000000086176617461723a33000000030000000562756d"
+        "7073490000000000000001000000017844404e00000000000000000001794440"
+        "490000000000000100000000000000030000000000000002405f600000000000"
+    ),
+    # StateUpdate
+    "060000000d00000000000000000000000000",
+    # Heartbeat
+    "07000000080000000000000006",
+    # RelayedAction
+    (
+        "080000007a4072c000000000004d000000000000000300000000000000030000"
+        "00086176617461723a3300000002000000086176617461723a31000000086176"
+        "617461723a323fd3333333333333402400000000000040290000000000004044"
+        "200000000000013ff0000000000000c000000000000000401dc28f5c28f5c3"
+    ),
+    # PeerForward
+    (
+        "090000009300000000000000090300000086ffffffffffffffff000000010000"
+        "0000000000014d00000000000000030000000000000004000000086176617461"
+        "723a3300000002000000086176617461723a31000000086176617461723a323f"
+        "d333333333333340240000000000004029000000000000404420000000000001"
+        "3ff0000000000000c000000000000000401dc28f5c28f5c3"
+    ),
+    # GroupBundle
+    (
+        "0a0000012400000000000000020000000100000000000000024d000000000000"
+        "00030000000000000005000000086176617461723a3300000002000000086176"
+        "617461723a31000000086176617461723a323fd3333333333333402400000000"
+        "000040290000000000004044200000000000013ff0000000000000c000000000"
+        "000000401dc28f5c28f5c3000000020000000000000001000000015200000000"
+        "0000000000000000000000020000000252000000000000000045ffffffffffff"
+        "ffff42ffffffffffffffff000000000000000100000001000000086176617461"
+        "723a35000000040000000178443ff8000000000000000000056c6162656c5300"
+        "000005737061776e00000005616c69766554000000016e4e0100000000000000"
+        "050000000000000000"
+    ),
+    # SpanForward
+    (
+        "100000008e000000000000000000000002000000000000000000000000000000"
+        "014d00000000000000030000000000000006000000086176617461723a330000"
+        "0002000000086176617461723a31000000086176617461723a323fd333333333"
+        "3333402400000000000040290000000000004044200000000000013ff0000000"
+        "000000c000000000000000401dc28f5c28f5c3"
+    ),
+    # SpanSplice
+    (
+        "1100000096000000000000000c00000000000000010000000200000000000000"
+        "0000000000000000014d00000000000000030000000000000007000000086176"
+        "617461723a3300000002000000086176617461723a3100000008617661746172"
+        "3a323fd333333333333340240000000000004029000000000000404420000000"
+        "0000013ff0000000000000c000000000000000401dc28f5c28f5c3"
+    ),
+    # SpanResult
+    (
+        "120000005b000000000000000c00000000000000030000000000000007000000"
+        "0001000000086176617461723a33000000030000000562756d70734900000000"
+        "00000001000000017844404e0000000000000000000179444049000000000000"
+    ),
+    # SpanAbort
+    "1300000018000000000000000d00000000000000030000000000000008",
+    # HandoffPrepare
+    "14000000080000000000000002",
+    # HandoffReady
+    "15000000080000000000000004",
+    # HandoffTransfer
+    (
+        "160000004f00000000000000044044c000000000000100000002000000086176"
+        "617461723a31000000067a6f6e653a6100000002000000000000000400000000"
+        "0000000000000000000000040000000000000001"
+    ),
+    # HandoffTransfer
+    "160000001500000000000000044044c000000000000000000000",
+    # HandoffWelcome
+    (
+        "170000001c000000000000000100000001000000000000000400000000000000"
+        "02"
+    ),
+    # CommitNotice
+    "2b00000018000000000000000000000000000000030000000000000000",
+    # CommitNotice
+    "2b000000181000000000000000ffffffffffffffff0000000080000000",
+    # LoadReport
+    (
+        "2000000028000000000000000000000000000000000000000000000000000000"
+        "00000000000000000000000000"
+    ),
+    # LoadReport
+    (
+        "20000000280000000000000003000001000000000041cdcd6500400000ffffff"
+        "ffffffffff0000000000000040"
+    ),
+    # PartitionUpdate
+    "210000000c000000000000000100000000",
+    # PartitionUpdate
+    (
+        "210000002440000000000000000000000300000000000000004072c400000000"
+        "004092c00000000000"
+    ),
+    # DrainDone
+    "220000001000000000000000010000000000000004",
+    # PartitionCommit
+    "23000000080000000000000000",
+    # RegionSync
+    (
+        "240000001c000000000000000300000000000000004082c00000000000000000"
+        "00"
+    ),
+    # RegionSync
+    (
+        "240000008d0000000000000004bff8000000000000426d1a94a2000000000000"
+        "02000000086176617461723a31ffffffffffffffff0000000000000000000000"
+        "030000000178443ff800000000000000000005616c69766554000000016e4e00"
+        "0000086176617461723a32000100000000000000000000000000010000000100"
+        "0000056c6162656c5300000005737061776e"
+    ),
+    # LeaseHeartbeat
+    "25000000100000000000000000ffffffffffffffff",
+    # LeaseRequest
+    "260000001000000000000000010000000000000002",
+    # LeaseVote
+    "270000001800000000000000010000000000000000ffffffffffffffff",
+    # LeaseGrant
+    "2800000018000000008000000000000000000000010000000000000000",
+    # ShardHello
+    "29000000080000000000000002",
+    # ClientHello
+    (
+        "2a00000021000000000000000540340000000000000100000001000000086176"
+        "617461723a35"
+    ),
+    # ClientHello
+    "2a000000110000000000000003000000000000000000",
+    # _Packet
+    (
+        "1800000088000000000000000300000000000000010101000000724d00000000"
+        "000000030000000000000008000000086176617461723a330000000200000008"
+        "6176617461723a31000000086176617461723a323fd333333333333340240000"
+        "0000000040290000000000004044200000000000013ff0000000000000c00000"
+        "0000000000401dc28f5c28f5c3"
+    ),
+    # _Packet
+    "18000000110000000000000000000000000000000000",
+    # _Ack
+    "19000000080000000000000011",
+]
+
 
 @pytest.mark.parametrize(
     "message", MESSAGES, ids=lambda m: type(m).__name__
@@ -220,20 +424,32 @@ def test_every_registered_message_type_has_a_round_trip_sample():
     assert missing == []
 
 
-def test_protocol_messages_never_ride_the_pickle_fallback():
-    # Cross-check of the static codec-fallback lint at runtime: encoding
-    # every sample must leave the fallback counter untouched.
-    c = codec()
-    for message in MESSAGES:
-        c.encode(message)
-    assert c.pickle_fallbacks == {}
+def test_every_sample_encodes_to_its_golden_bytes():
+    assert len(GOLDEN_FRAMES) == len(MESSAGES)
+    for message, golden in zip(MESSAGES, GOLDEN_FRAMES):
+        assert codec().encode(message).hex() == golden, type(message).__name__
+        decoded = codec().decode(bytes.fromhex(golden))
+        assert snap(decoded) == snap(message)
 
 
-def test_pickle_fallback_round_trips_exotic_payloads():
-    # Anything without a field encoder falls back to the tagged pickle
-    # frame — the codec must still round-trip it.
-    payload = {"custom": (1, 2.5, "x")}
-    assert codec().decode(codec().encode(payload)) == payload
+def test_frame_tags_are_unique():
+    tags = [row[0] for row in FRAME_LAYOUTS.values()]
+    assert len(set(tags)) == len(tags)
+
+
+def test_unregistered_types_raise_on_encode():
+    # Nothing without a row in the layout table reaches the wire: an
+    # unregistered message, action or attribute-value type is rejected
+    # when it is encoded.
+    class Unregistered(BlindWrite):
+        pass
+
+    with pytest.raises(CodecError, match="dict"):
+        codec().encode({"custom": (1, 2.5, "x")})
+    with pytest.raises(CodecError, match="Unregistered"):
+        codec().encode(SubmitAction(Unregistered(ActionId(1, 0), {})))
+    with pytest.raises(CodecError, match="frozenset"):
+        codec().encode(StateUpdate((("avatar:1", (("tags", frozenset()),)),)))
 
 
 def test_move_frame_is_much_smaller_than_pickle():
@@ -273,7 +489,7 @@ def test_corrupt_body_length_raises():
 def test_bit_flipped_action_sub_tag_raises():
     # Adversarial/corrupt peers must not be able to smuggle garbage
     # through the inner action frame: an unassigned sub-tag byte (the
-    # 'M'/'B'/'P' discriminator right after the 5-byte outer header)
+    # 'M'/'B' discriminator right after the 5-byte outer header)
     # fails loudly instead of dispatching to the wrong decoder.
     frame = bytearray(codec().encode(SubmitAction(move_action())))
     assert chr(frame[5]) == "M"
@@ -318,3 +534,100 @@ def test_walls_never_cross_the_wire():
     assert len(frame) < 256
     decoded = MessageCodec(walls=WALLS).decode(frame)
     assert decoded.action.walls is WALLS
+
+
+# ----------------------------------------------------------------------
+# Hostile frames fail with CodecError and nothing else
+# ----------------------------------------------------------------------
+def _frame(tag: int, body: bytes) -> bytes:
+    return struct.pack(">BI", tag, len(body)) + body
+
+
+def test_invalid_utf8_in_a_string_field_raises():
+    frame = bytearray(
+        codec().encode(RegionSync(1, 0.0, 1.0, (("ab", 0, 0, ()),)))
+    )
+    at = frame.index(b"ab")
+    frame[at : at + 2] = b"\xff\xfe"
+    with pytest.raises(CodecError):
+        codec().decode(bytes(frame))
+
+
+def test_deeply_nested_frames_raise():
+    # 1,000 PeerForwards, each wrapping the next: a 13 KB frame.
+    tag = FRAME_LAYOUTS[PeerForward][0]
+    frame = codec().encode(Heartbeat(1))
+    for _ in range(1000):
+        frame = _frame(tag, struct.pack(">q", 0) + frame)
+    with pytest.raises(CodecError):
+        codec().decode(frame)
+    # Nesting the protocol really uses still decodes.
+    message = _Packet(0, 0, PeerForward(2, PeerForward(1, Heartbeat(1))))
+    assert snap(codec().decode(codec().encode(message))) == snap(message)
+
+
+def _sync_with_value(value) -> RegionSync:
+    return RegionSync(1, 0.0, 1.0, (("a", 0, 0, (("v", value),)),))
+
+
+def test_deeply_nested_tuple_values_raise():
+    frame = codec().encode(_sync_with_value(None))
+    assert frame[-1:] == b"N"
+    # 5,000 one-item tuples around the None.
+    body = frame[5:-1] + b"U\x00\x00\x00\x01" * 5000 + b"N"
+    with pytest.raises(CodecError):
+        codec().decode(_frame(frame[0], body))
+    deep = None
+    for _ in range(100):
+        deep = (deep,)
+    with pytest.raises(CodecError):
+        codec().encode(_sync_with_value(deep))
+    message = _sync_with_value(((1, ("x", (2.5, None))), True))
+    assert codec().decode(codec().encode(message)) == message
+
+
+#: Derandomized, so tier-1 runs the same examples every time.
+FUZZ = settings(
+    max_examples=500, derandomize=True, deadline=None, database=None
+)
+SAMPLE_FRAMES = [codec().encode(message) for message in MESSAGES]
+
+
+def _decodes_or_raises_codec_error(data: bytes) -> None:
+    try:
+        codec().decode(data)
+    except CodecError:
+        pass
+
+
+@FUZZ
+@given(st.binary(max_size=256))
+def test_fuzz_arbitrary_bytes(data):
+    _decodes_or_raises_codec_error(data)
+
+
+@FUZZ
+@given(
+    st.sampled_from(sorted(row[0] for row in FRAME_LAYOUTS.values())),
+    st.binary(max_size=256),
+)
+def test_fuzz_arbitrary_body_under_every_tag(tag, body):
+    _decodes_or_raises_codec_error(_frame(tag, body))
+
+
+@FUZZ
+@given(st.data())
+def test_fuzz_sample_frames_with_one_byte_flipped(data):
+    frame = bytearray(data.draw(st.sampled_from(SAMPLE_FRAMES)))
+    at = data.draw(st.integers(0, len(frame) - 1))
+    frame[at] ^= data.draw(st.integers(1, 255))
+    _decodes_or_raises_codec_error(bytes(frame))
+
+
+@FUZZ
+@given(st.data())
+def test_fuzz_sample_frames_truncated(data):
+    frame = data.draw(st.sampled_from(SAMPLE_FRAMES))
+    cut = data.draw(st.integers(0, len(frame) - 1))
+    with pytest.raises(CodecError):
+        codec().decode(frame[:cut])

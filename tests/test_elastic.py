@@ -13,12 +13,7 @@ import pytest
 from repro.core.action import ActionId
 from repro.core.elastic import ElasticConfig, plan_boundaries, stripes_touching
 from repro.core.engine import SeveConfig
-from repro.core.sharded import (
-    ElasticPartition,
-    RegionPartition,
-    ShardedSeveEngine,
-    ShardingConfig,
-)
+from repro.core.sharded import RegionPartition, ShardedSeveEngine, ShardingConfig
 from repro.errors import ConfigurationError
 from repro.harness.architectures import _reliability_suite, build_world
 from repro.harness.config import SimulationSettings
@@ -73,7 +68,7 @@ def test_plan_boundaries_respects_min_stripe():
 
 
 def test_elastic_partition_applies_versions():
-    partition = ElasticPartition(100.0, 4)
+    partition = RegionPartition(100.0, 4)
     assert partition.version == 0
     assert partition.boundaries == [25.0, 50.0, 75.0]
     partition.apply(1, (10.0, 50.0, 90.0))
@@ -89,7 +84,8 @@ def test_elastic_partition_applies_versions():
 
 def test_stripes_touching_matches_partition_classification():
     boundaries = [25.0, 50.0, 75.0]
-    partition = ElasticPartition(100.0, 4, boundaries=list(boundaries))
+    partition = RegionPartition(100.0, 4)
+    partition.apply(1, boundaries)
     for x in (0.0, 24.0, 25.0, 49.9, 60.0, 99.0):
         for radius in (0.0, 3.0, 30.0):
             assert stripes_touching(boundaries, x, radius) == (
@@ -197,9 +193,9 @@ def _assert_drained(engine):
 # ---------------------------------------------------------------------------
 def test_elastic_off_is_structurally_static():
     """With no ElasticConfig the engine builds the exact static
-    partition: one shared immutable RegionPartition, no control plane."""
+    partition: one shared copy at version 0, no control plane."""
     _, _, engine = _run_engine(FLASH)
-    assert type(engine.partition) is RegionPartition
+    assert engine.partition.version == 0
     for server in engine.shard_servers:
         assert server.partition is engine.partition  # shared, never copied
         assert server.elastic is None
@@ -219,7 +215,9 @@ def test_inert_elastic_run_matches_static_fingerprint():
     assert elastic_state == static_state
     assert elastic_obs == static_obs
     assert engine.rebalance_events == ()
-    assert type(engine.partition) is ElasticPartition
+    assert engine.partition.version == 0
+    copies = {id(server.partition) for server in engine.shard_servers}
+    assert len(copies) == len(engine.shard_servers)
     _assert_drained(engine)
 
 

@@ -156,9 +156,9 @@ def test_parallel_matches_inproc_k2_lossy():
     assert parallel.messages_dropped > 0  # the plan actually fired
 
 
-def test_parallel_matches_inproc_k1_whole_run_subprocess():
-    # shards=1 degenerates to the whole classic run in one spawned
-    # worker; results must still be identical to the local run.
+def test_parallel_matches_inproc_k1_whole_run():
+    # shards=1 has one partition, so parallel runs the classic path in
+    # process; results must be identical to the inproc run.
     inproc = run("inproc", shards=1)
     parallel = run("parallel", shards=1)
     assert result_key(inproc) == result_key(parallel)

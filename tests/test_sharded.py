@@ -62,6 +62,19 @@ def test_home_with_hysteresis_tolerates_border_wobble():
     assert partition.home_with_hysteresis(44.0, 1, margin=5.0) == 0
 
 
+def test_equal_cuts_own_what_version_zero_owns():
+    # Flipping to the equal-width cuts changes the version, not the owner
+    # of any position or the interval of any stripe.
+    static = RegionPartition(100.0, 4)
+    flipped = RegionPartition(100.0, 4)
+    flipped.apply(1, static.boundaries)
+    for x in (-10.0, 0.0, 24.999, 25.0, 50.0, 74.0, 75.0, 99.9, 120.0):
+        assert flipped.shard_of(x) == static.shard_of(x)
+    assert [flipped.bounds(k) for k in range(4)] == [
+        static.bounds(k) for k in range(4)
+    ]
+
+
 def test_sharding_config_validates():
     with pytest.raises(ConfigurationError):
         ShardingConfig(shards=0)

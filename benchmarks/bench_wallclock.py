@@ -219,15 +219,17 @@ def bench_sharding(num_clients: int, moves_per_client: int) -> dict:
     world divides the *per-serializer* load: the bottleneck shard's
     push-cycle wall-clock, serialized-action count, and simulated CPU
     all shrink as K grows, while the cross-shard audit stays clean.
-    K = 1 runs through the same ShardedSeveEngine (byte-identical to
-    the classic engine — tests/test_sharded.py) so the numbers compare
-    like with like.
+    K = 1 runs through a one-shard ShardedSeveEngine (byte-identical to
+    the unsharded engine — tests/test_sharded.py) and K > 1 through the
+    one-partition replica every in-process ``--shards K`` run uses, so
+    the numbers compare like with like.
     """
     from repro.core.engine import SeveConfig
     from repro.core.sharded import ShardedSeveEngine, ShardingConfig
     from repro.harness.config import SimulationSettings
     from repro.harness.workload import MoveWorkload
     from repro.metrics.shard_audit import audit_sharded_run
+    from repro.net.backend import PartitionReplica, run_single_partition
     from repro.world.manhattan import ManhattanWorld
 
     settings = SimulationSettings(
@@ -247,26 +249,42 @@ def bench_sharding(num_clients: int, moves_per_client: int) -> dict:
     )
     sweep = {}
     bottlenecks = []
+    horizon = settings.workload_duration_ms + 2 * settings.move_interval_ms
     for shards in (1, 2, 4, 8):
-        world = ManhattanWorld(num_clients, settings.manhattan_config())
-        config = SeveConfig(
-            mode="seve",
-            rtt_ms=settings.rtt_ms,
-            bandwidth_bps=None,
-            omega=settings.omega,
-            tick_ms=settings.tick_ms,
-            threshold=settings.effective_threshold,
-            eval_overhead_ms=settings.eval_overhead_ms,
-            record_observations=True,
-        )
-        engine = ShardedSeveEngine(
-            world,
-            num_clients,
-            config,
-            sharding=ShardingConfig(
-                shards=shards, world_width=settings.world_width
-            ),
-        )
+        if shards == 1:
+            world = ManhattanWorld(num_clients, settings.manhattan_config())
+            config = SeveConfig(
+                mode="seve",
+                rtt_ms=settings.rtt_ms,
+                bandwidth_bps=None,
+                omega=settings.omega,
+                tick_ms=settings.tick_ms,
+                threshold=settings.effective_threshold,
+                eval_overhead_ms=settings.eval_overhead_ms,
+            )
+            engine = ShardedSeveEngine(
+                world,
+                num_clients,
+                config,
+                sharding=ShardingConfig(
+                    shards=1, world_width=settings.world_width
+                ),
+            )
+            workload = MoveWorkload(engine, world, settings)
+
+            def drive(engine=engine, workload=workload) -> None:
+                engine.start()
+                workload.install()
+                engine.run(until=horizon)
+                engine.run_to_quiescence()
+
+        else:
+            replica = PartitionReplica("seve", settings.with_(shards=shards))
+            engine = replica.engine
+
+            def drive(replica=replica) -> None:
+                run_single_partition(replica)
+
         # Wall-clock each shard's push cycles in place.
         push_wall = [0.0] * shards
         for server in engine.shard_servers:
@@ -277,13 +295,8 @@ def bench_sharding(num_clients: int, moves_per_client: int) -> dict:
                 push_wall[server.shard_index] += time.perf_counter() - t0
 
             server._push_cycle = timed
-        workload = MoveWorkload(engine, world, settings)
-        horizon = settings.workload_duration_ms + 2 * settings.move_interval_ms
         t0 = time.perf_counter()
-        engine.start()
-        workload.install()
-        engine.run(until=horizon)
-        engine.run_to_quiescence()
+        drive()
         wall = time.perf_counter() - t0
         if shards > 1:
             audit = audit_sharded_run(engine)
@@ -407,15 +420,15 @@ def bench_parallel(
             raise AssertionError(
                 f"parallel backend diverged at K={shards}: {keys}"
             )
-        # Context row: the classic single-partition scheduler (what a
-        # plain `--shards K` run uses; differs from the windowed drive
-        # by the documented ~1 ms drain refinement, so no identity
-        # assertion against it).
-        classic = run_simulation(
-            "seve", settings(shards, "inproc", workers=0),
+        # Context row: one partition owning every shard (what a plain
+        # in-process `--shards K` run uses).  Equal-time deliveries can
+        # tie-break differently from the W=K schedule, so no identity
+        # assertion against it.
+        single = run_simulation(
+            "seve", settings(shards, "inproc", workers=1),
             check_consistency=False,
         )
-        row["classic_wall_s"] = classic.wall_seconds
+        row["single_partition_wall_s"] = single.wall_seconds
         row["identical"] = True
         row["speedup"] = row["inproc_wall_s"] / row["parallel_wall_s"]
         sweep[str(shards)] = row

@@ -223,14 +223,13 @@ def _fingerprint(engine) -> object:
     return (state, observations)
 
 
-def _check_common(engine) -> List[str]:
-    problems: List[str] = []
-    if not engine._quiescent():
-        problems.append(
-            "quiescence: run drained its event queue without reaching "
-            "quiescence"
-        )
-    return problems
+def _check_common(quiescent: bool) -> List[str]:
+    if quiescent:
+        return []
+    return [
+        "quiescence: run drained its event queue without reaching "
+        "quiescence"
+    ]
 
 
 def _deferred_reply_stats(servers) -> Tuple[int, int]:
@@ -239,10 +238,11 @@ def _deferred_reply_stats(servers) -> Tuple[int, int]:
     return parked, answered
 
 
-def _check_sharded(engine, *, conservation: bool = True) -> List[str]:
+def _check_sharded(replica, *, conservation: bool = True) -> List[str]:
     from repro.metrics.shard_audit import audit_sharded_run
 
-    problems = _check_common(engine)
+    engine = replica.engine
+    problems = _check_common(replica._quiescent())
     audit = audit_sharded_run(engine)
     if not audit.consistent:
         problems.append(f"audit: {audit.summary()}")
@@ -265,7 +265,7 @@ def _check_sharded(engine, *, conservation: bool = True) -> List[str]:
 
 
 def _check_reactive(engine) -> List[str]:
-    problems = _check_common(engine)
+    problems = _check_common(engine._quiescent())
     parked, answered = _deferred_reply_stats([engine.server])
     if parked != answered:
         problems.append(
@@ -274,28 +274,19 @@ def _check_reactive(engine) -> List[str]:
     return problems
 
 
-def _prepare(architecture, settings, check) -> PreparedRun:
-    from repro.harness.architectures import build_engine
-    from repro.harness.runner import _schedule_crashes
-    from repro.harness.workload import MoveWorkload
+def _prepare_sharded(settings, check) -> PreparedRun:
+    """A sharded scenario on the one-partition replica: the same start,
+    crash windows, and drain rule as an in-process ``--shards K`` run."""
+    from repro.net.backend import PartitionReplica, run_single_partition
 
-    engine = build_engine(architecture, settings)
-    workload = MoveWorkload(engine, engine.world, settings)
-    horizon = settings.workload_duration_ms + 2 * settings.move_interval_ms
-    plan = settings.fault_plan
-    has_plan = plan is not None and not plan.is_null
+    replica = PartitionReplica("seve", settings)
 
     def run() -> None:
-        if has_plan:
-            engine.start(stop_at=horizon + 15_000.0)
-            _schedule_crashes(engine, workload, plan)
-        else:
-            engine.start()
-        workload.install()
-        engine.run(until=horizon)
-        engine.run_to_quiescence()
+        run_single_partition(replica)
 
-    return PreparedRun(engine=engine, run=run, check=lambda: check(engine))
+    return PreparedRun(
+        engine=replica.engine, run=run, check=lambda: check(replica)
+    )
 
 
 def _build_k2_elastic() -> PreparedRun:
@@ -305,7 +296,7 @@ def _build_k2_elastic() -> PreparedRun:
         elastic_threshold=1.05,
         elastic_hysteresis=1,
     )
-    return _prepare("seve", settings, _check_sharded)
+    return _prepare_sharded(settings, _check_sharded)
 
 
 def _build_k2_failover() -> PreparedRun:
@@ -318,10 +309,10 @@ def _build_k2_failover() -> PreparedRun:
         control_plane="replicated", fault_plan=plan, seed=13
     )
     # Shard hosts can die holding control messages, so elastic
-    # conservation is waived exactly as the engine's own quiescence
+    # conservation is waived exactly as the coordinator's quiescence
     # term waives it (there is no elastic config here anyway).
-    return _prepare(
-        "seve", settings, lambda e: _check_sharded(e, conservation=False)
+    return _prepare_sharded(
+        settings, lambda r: _check_sharded(r, conservation=False)
     )
 
 

@@ -77,12 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=("inproc", "parallel"), default="inproc",
         help="execution backend (docs/parallel.md): 'inproc' runs "
         "everything in this process, 'parallel' runs shard partitions "
-        "in spawned worker processes; results are byte-identical",
+        "in spawned worker processes; results are byte-identical at "
+        "equal --workers",
     )
     run.add_argument(
         "--workers", type=int, default=0,
-        help="partition count for the windowed scheduler (0 = auto: "
-        "1 for inproc, one per shard for parallel; clamped to --shards)",
+        help="partition count W of a sharded run (0 = auto: 1 for "
+        "inproc, one per shard for parallel; clamped to --shards); "
+        "under a fault plan, W changes results",
     )
     run.add_argument(
         "--control-plane", choices=("single", "replicated"),

@@ -437,7 +437,7 @@ ENVELOPED_MESSAGES = (OrderedAction,)
 #: group must be counted on both ends — the dispatch branch handling it
 #: bumps ``received`` and every constructor site flows through a sender
 #: that bumps ``sent`` — because the quiescence check sums exactly these
-#: counters (``ShardedSeveEngine._quiescent``).  A handler that mutates
+#: counters (``repro.net.backend._drive``).  A handler that mutates
 #: state without the accounting would let a run go quiescent with
 #: control messages still in flight.  Parsed statically, like the
 #: registry above.

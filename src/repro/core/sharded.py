@@ -1496,7 +1496,10 @@ class ShardedSeveEngine(SeveEngine):
     FIFO backbone links.  Clients attach to the shard owning their
     spawn position and migrate as their avatars cross stripe borders.
 
-    ``shards=1`` is byte-identical to :class:`SeveEngine`.
+    ``shards=1`` is byte-identical to :class:`SeveEngine` and runs on
+    its inherited ``start``/``run_to_quiescence``.  A K > 1 deployment
+    is driven by :class:`repro.net.backend.PartitionReplica`, which
+    starts the shards, applies crash windows, and decides quiescence.
     """
 
     def __init__(
@@ -1723,65 +1726,6 @@ class ShardedSeveEngine(SeveEngine):
     # Crash oracle: shard death, restart, client rejoin
     # (docs/control_plane.md)
     # ------------------------------------------------------------------
-    def crash_shard(self, shard: int) -> List[ClientId]:
-        """Kill shard ``shard``'s host: park its server, notify the
-        survivors (the simulation's perfect failure detector), and
-        return the casualty clients — those attached there or migrating
-        toward it — which die with it."""
-        if shard in self.crashed_shards:
-            raise ProtocolError(f"shard {shard} is already crashed")
-        live = [
-            s for s in self.shard_servers
-            if s.shard_index != shard and not s._crashed
-        ]
-        if not live:
-            raise ProtocolError("cannot crash the last live shard")
-        server = self.shard_servers[shard]
-        host_id = shard_host_id(shard)
-        server._crashed = True
-        server.stop()
-        self.crashed_shards.add(shard)
-        self.network.crash(host_id)
-        casualties = self._shard_crash_victims(shard)
-        for client_id in casualties:
-            self.mark_dead(client_id)
-            if self.network.is_registered(client_id):
-                self.network.crash(client_id)
-        for peer in self.shard_servers:
-            if not peer._crashed:
-                peer.note_shard_down(shard)
-        for client_id in casualties:
-            for peer in self.shard_servers:
-                if not peer._crashed and client_id in peer.clients:
-                    peer.evict_client(client_id)
-        for client_id in sorted(self.clients):
-            if client_id in self.dead:
-                continue
-            client = self.clients[client_id]
-            if client._rejoin_target == host_id:
-                # Rejoining toward the shard that just died: redirect
-                # the hello at the first live shard.
-                client._rejoin_target = shard_host_id(live[0].shard_index)
-        return casualties
-
-    def _shard_crash_victims(self, shard: int) -> List[ClientId]:
-        """The clients that die with shard ``shard``: attached to it,
-        or mid-migration toward it (their stream is unrecoverable —
-        the transfer may already be in flight into the dead host).
-        The rule is client-local on purpose, so every backend computes
-        the same casualty set from the state it owns."""
-        host_id = shard_host_id(shard)
-        victims = []
-        for client_id in sorted(self.clients):
-            if client_id in self.dead:
-                continue
-            client = self.clients[client_id]
-            if client.server_id == host_id or (
-                client._migrating and client._migration_target == shard
-            ):
-                victims.append(client_id)
-        return victims
-
     def restart_shard(self, shard: int) -> ShardServer:
         """Restart a crashed shard host: recover the committed store
         from checkpoint+WAL, seed the stream/gsn counters past the dead
@@ -1876,76 +1820,6 @@ class ShardedSeveEngine(SeveEngine):
             if server.lease is not None:
                 events.extend(server.lease.log)
         return tuple(sorted(events, key=lambda e: (e.at_ms, e.term)))
-
-    # ------------------------------------------------------------------
-    # Driving
-    # ------------------------------------------------------------------
-    def start(self, *, stop_at: Optional[TimeMs] = None) -> None:
-        self._stop_at = stop_at
-        for server in self.shard_servers:
-            server.start(stop_at=stop_at)
-        if self.config.liveness is not None:
-            for client_id in self.clients:
-                self._install_heartbeat(client_id, stop_at=stop_at)
-
-    def run_to_quiescence(self, max_extra_ms: TimeMs = 600_000.0) -> None:
-        deadline = self.sim.now + max_extra_ms
-        while self.sim.now < deadline:
-            if not self.sim.step():
-                break
-            if self._quiescent():
-                break
-        for server in self.shard_servers:
-            server.stop()
-        for stopper in list(self._heartbeat_stoppers.values()):
-            stopper()
-        self._heartbeat_stoppers.clear()
-        self.sim.run(until=min(self.sim.now + 1.0, deadline))
-
-    def _quiescent(self) -> bool:
-        live_servers = [s for s in self.shard_servers if not s._crashed]
-        if any(
-            client.pending_count
-            for client_id, client in self.clients.items()
-            if client_id not in self.dead and client_id not in self.quarantined
-        ):
-            return False
-        if self.config.liveness is not None:
-            if any(
-                any(client_id in server.clients for server in live_servers)
-                for client_id in self.dead
-            ):
-                return False
-        if any(
-            client._migrating
-            for client_id, client in self.clients.items()
-            if client_id not in self.quarantined and client_id not in self.dead
-        ):
-            return False
-        if any(server._handoffs for server in live_servers):
-            return False
-        if self.sharding.elastic is not None and self.sharding.shards > 1:
-            # A rebalance is quiescent only once every epoch retired
-            # and every control message (reports, updates, syncs,
-            # drain/commit) has been consumed: global conservation of
-            # the send/receive counters.
-            if any(server._epochs for server in live_servers):
-                return False
-            controller = next(
-                (s for s in live_servers if s.is_sequencer), None
-            )
-            if controller is not None and controller._pending_version is not None:
-                return False
-            if not self._arm_recovery:
-                # Conservation only holds while no shard host can eat a
-                # control message by dying with it.
-                sent = sum(server.elastic_sent for server in self.shard_servers)
-                received = sum(
-                    server.elastic_received for server in self.shard_servers
-                )
-                if sent != received:
-                    return False
-        return all(server.uncommitted_count == 0 for server in live_servers)
 
     @property
     def rebalance_events(self) -> tuple:

@@ -146,17 +146,16 @@ class SimulationSettings:
     adversary: Optional["AdversaryPlan"] = None
 
     # -- execution backend (docs/parallel.md) -------------------------------
-    #: How the run executes on real hardware: "inproc" (everything in
-    #: this process) or "parallel" (spawned ``multiprocessing`` workers).
-    #: Virtual-time results are byte-identical between the two for equal
-    #: (shards, resolved workers) — the backend is a wall-clock choice,
-    #: never a semantics choice.
+    #: How a sharded run's partitions execute on real hardware:
+    #: "inproc" (all in this process) or "parallel" (one spawned
+    #: ``multiprocessing`` worker per partition).  Results are
+    #: byte-identical between the two at equal resolved ``workers``;
+    #: the auto worker counts differ, and under a fault plan the
+    #: worker count changes results (docs/parallel.md).
     backend: str = "inproc"
-    #: Partition count for the windowed scheduler.  0 = auto: 1 for
-    #: ``inproc`` (the classic single-engine drive, unchanged) and one
-    #: worker per shard for ``parallel``.  An explicit ``workers >= 2``
-    #: with ``shards > 1`` selects the windowed partition scheduler for
-    #: either backend (clamped to the shard count).
+    #: Partition count W of the windowed scheduler every ``shards > 1``
+    #: run uses, clamped to the shard count.  0 = auto: 1 for
+    #: ``inproc`` and one partition per shard for ``parallel``.
     workers: int = 0
     #: One-way latency (ms) of the server-to-server backbone links used
     #: by cross-shard forwarding.  Also the lower bound on the windowed

@@ -161,12 +161,13 @@ def run_simulation(
     any observability output (``trace_out``/``metrics_out``/``profile``)
     and the requested exports are written at the end of the run.
 
-    ``settings.backend`` selects how the run executes on real hardware
-    (docs/parallel.md); virtual-time results are independent of the
-    choice.  The windowed partition paths build their own worlds (one
-    per replica), so a pre-built ``world`` is only shared on the classic
-    single-engine path.  With one effective partition there is nothing
-    to spread over workers, so ``parallel`` runs that path in process.
+    Every sharded run (``shards > 1``) goes through the windowed
+    partition scheduler (:func:`repro.net.backend.run_partitioned`,
+    docs/parallel.md) with W >= 1 partitions; ``settings.backend``
+    selects whether they step in this process or in spawned workers
+    (and, with ``workers=0``, how many there are).  The replicas build
+    their own worlds, so a pre-built ``world`` is only shared by
+    unsharded runs.
     """
     started = time.perf_counter()
     if obs is None and settings.wants_observer:
@@ -179,12 +180,7 @@ def run_simulation(
     faults_active = plan is not None and not plan.is_null
     submit_horizon = settings.workload_duration_ms + 2 * settings.move_interval_ms
 
-    partitioned = False
     if settings.shards > 1:
-        from repro.net.backend import resolve_workers
-
-        partitioned = resolve_workers(settings) > 1
-    if partitioned:
         from repro.net.backend import run_partitioned
 
         engine, workload = run_partitioned(
@@ -207,12 +203,7 @@ def run_simulation(
             # Periodic fault machinery (heartbeats, liveness sweeps) must
             # stop eventually or the simulator never drains; give it a
             # grace window past the workload for retries to settle.
-            # Sharded runs get the full drain budget: spanning actions
-            # serialize on their originators' results (one RTT per
-            # conflict-chain link), so a jittery queue needs far longer to
-            # empty — freezing pushes early would strand uncommitted spans.
-            grace = settings.drain_ms if settings.shards > 1 else 15_000.0
-            engine.start(stop_at=submit_horizon + grace)
+            engine.start(stop_at=submit_horizon + 15_000.0)
             _schedule_crashes(engine, workload, plan)
         else:
             engine.start()
@@ -238,7 +229,7 @@ def run_simulation(
             client_id: _stable_replica(engine.clients[client_id])
             for client_id in client_ids
         }
-        if sharded is not None and len(sharded) > 1:
+        if sharded is not None:
             # Shard stores legitimately diverge on each other's local
             # actions, so Theorem 1 is checked against any-shard history
             # plus the global span-order audit.
@@ -299,7 +290,7 @@ def run_simulation(
                     shard_server.shard_index
                 ].cpu_time_used,
                 "push_cycles": shard_server.stats.push_cycles,
-                "stripe": _shard_stripe(shard_server),
+                "stripe": tuple(shard_server.stripe),
             }
             for shard_server in sharded
         ]
@@ -320,10 +311,10 @@ def run_simulation(
         )
     else:
         server_traffic_kb = meter.host_bytes(SERVER_ID) / 1024.0
-    server_stats = getattr(server, "stats", None)
-    clients_evicted = getattr(server_stats, "clients_evicted", 0) or getattr(
-        engine, "liveness_evictions", 0
-    )
+    clients_evicted = sum(
+        getattr(getattr(s, "stats", None), "clients_evicted", 0)
+        for s in (sharded if sharded is not None else [server])
+    ) or getattr(engine, "liveness_evictions", 0)
     profile = None
     if obs is not None:
         obs.record_run_summary(
@@ -381,18 +372,6 @@ def run_simulation(
     )
 
 
-def _shard_stripe(shard_server) -> Optional[tuple]:
-    """The ``(lo, hi)`` stripe a shard owns at the end of the run, for
-    any engine shape (``None`` when the shard doesn't expose one)."""
-    stripe = getattr(shard_server, "stripe", None)
-    if stripe is not None:
-        return tuple(stripe)
-    partition = getattr(shard_server, "partition", None)
-    if partition is None:
-        return None
-    return partition.bounds(shard_server.shard_index)
-
-
 def _detection_summary(engine) -> Dict[str, object]:
     """The adversary-detection RunResult fields for any engine shape.
 
@@ -422,22 +401,9 @@ def _detection_summary(engine) -> Dict[str, object]:
 
 
 def _schedule_crashes(engine, workload: MoveWorkload, plan) -> None:
-    """Install the plan's crash/reconnect windows on the virtual clock."""
+    """Install the plan's client crash/reconnect windows on the virtual
+    clock (shard windows need shards > 1, whose replicas schedule them)."""
     for window in plan.crashes:
-        if window.is_shard:
-
-            def kill_shard(shard=window.shard_index) -> None:
-                for cid in engine.crash_shard(shard):
-                    workload.stop_client(cid)
-
-            engine.sim.schedule_at(window.at_ms, kill_shard)
-            if window.reconnect_at_ms is not None:
-
-                def revive_shard(shard=window.shard_index) -> None:
-                    engine.restart_shard(shard)
-
-                engine.sim.schedule_at(window.reconnect_at_ms, revive_shard)
-            continue
 
         def kill(cid=window.client_id) -> None:
             workload.stop_client(cid)

@@ -1,14 +1,14 @@
-"""Pluggable execution backends: windowed partition scheduling for
-sharded runs, in-process or across ``multiprocessing`` workers.
+"""The sharded run driver: windowed partition scheduling, in process
+or across ``multiprocessing`` workers.
 
-The classic harness drives one :class:`~repro.net.simulator.Simulator`
-holding every host of the deployment — all K shard servers serialize
-through one Python interpreter, so the virtual-time K-way scaling of
-:mod:`repro.core.sharded` never shows up on real cores.  This module
-makes it real while keeping the determinism story intact:
+Every run with ``shards > 1`` goes through :func:`run_partitioned`,
+which executes it as W >= 1 **partition replicas** stepped through
+one window schedule (:func:`_drive`).  W = 1 is one in-process replica
+that owns every shard and client: no traffic crosses a partition, so
+the codec is never used.  W > 1 spreads the shards over replicas,
+inline or in spawned worker processes:
 
-* :func:`run_partitioned` executes a sharded run as W **partition
-  replicas**.  Each replica builds the *full* engine from the same
+* Each replica builds the *full* engine from the same
   :class:`~repro.harness.config.SimulationSettings` (identical RNG
   draws, identical object graphs) but *activates* only its slice: the
   shard servers it owns get their periodic processes started, and the
@@ -37,10 +37,16 @@ makes it real while keeping the determinism story intact:
 inline in one process; with ``parallel=True`` it spawns one OS process
 per replica (``spawn`` start method everywhere — see
 :func:`spawn_context`) and exchanges the same per-epoch bundles over
-pipes.  Byte-identical ``RunResult``s between the two are a
+pipes.  Byte-identical ``RunResult``s between the two at equal W are a
 construction property, not a hope: same replica build, same window
 ends, same injection order, same merge pipeline.  The differential
-tests in ``tests/test_parallel_backend.py`` pin it.
+tests in ``tests/test_parallel_backend.py`` pin it.  Across W the
+schedule is the same only where no two deliveries tie in virtual
+time; fault-free runs have matched at every W measured
+(``tests/test_elastic.py`` pins K=4 at W = 1, 2, 4).  A fault plan's
+loss/jitter draws come from each replica's own seeded stream, so
+under a fault plan W is part of the experiment's identity
+(docs/parallel.md).
 
 Fault plans — including shard crash/restart windows and client
 crash/reconnect windows (docs/control_plane.md) — fire on every
@@ -51,17 +57,14 @@ foreign hosts so incarnation counters stay in lockstep; failover,
 span-obligation takeover, and eviction of foreign casualties all
 travel as ordinary protocol messages through the barrier transport.
 
-Quiescence and drain mirror the classic runner: once the barrier clock
-passes the workload horizon and every partition reports no pending
-client actions, no migrations, no handoffs, and no uncommitted server
-entries, the run stops — in-flight bundles at that instant are
-discarded (any message that could *create* work implies some partition
-was not quiescent; see docs/parallel.md for the argument), each replica
-stops its servers and drains one final millisecond, exactly like
-``run_to_quiescence``.  The windowed drain is a documented semantic
-refinement of the K>1 runner path: virtual timestamps can differ
-slightly from the classic single-heap drive, but never between the two
-backends.
+Quiescence and drain: once the barrier clock passes the workload
+horizon and every partition reports no pending client actions, no
+migrations, no handoffs, no crashed client still attached to a live
+shard, and no uncommitted server entries, the run stops — in-flight
+bundles at that instant are discarded (any message that could
+*create* work implies some partition was not quiescent; see
+docs/parallel.md for the argument), and each replica stops its
+servers and heartbeats and drains one final millisecond.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.messages import MessageCodec
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, ProtocolError, SimulationError
 from repro.types import ClientId, TimeMs, shard_host_id
 
 #: One cross-partition message in flight: ``(arrival, src_partition,
@@ -106,10 +109,10 @@ def spawn_context():
 def resolve_workers(settings) -> int:
     """The effective worker count W for ``settings``.
 
-    ``workers == 0`` means *auto*: 1 for the in-process backend (the
-    classic single-engine path, unchanged) and one worker per shard for
-    the parallel backend.  Explicit counts are clamped to the shard
-    count — a shard is the unit of ownership and cannot be split.
+    ``workers == 0`` means *auto*: 1 for the in-process backend (one
+    replica owning every shard) and one worker per shard for the
+    parallel backend.  Explicit counts are clamped to the shard count —
+    a shard is the unit of ownership and cannot be split.
     """
     if settings.workers > 0:
         return min(settings.workers, settings.shards)
@@ -235,15 +238,19 @@ class PartitionReplica:
     time RNG draw and id assignment matches every other replica.  It
     then *starts* only the owned shards' periodic processes and the
     owned clients' workload generators, and diverts traffic addressed
-    to foreign hosts through the network's ``remote_sink``.
+    to foreign hosts through the network's ``remote_sink``.  The
+    defaults build the W = 1 replica, which owns everything; white-box
+    callers drive it with :func:`run_single_partition` and inspect
+    ``replica.engine``.
     """
 
     def __init__(
         self,
         architecture: str,
         settings,
-        partition: int,
-        workers: int,
+        partition: int = 0,
+        workers: int = 1,
+        obs=None,
     ) -> None:
         from repro.harness.architectures import build_engine
         from repro.harness.workload import MoveWorkload
@@ -251,8 +258,7 @@ class PartitionReplica:
         self.settings = settings
         self.partition = partition
         self.workers = workers
-        obs = None
-        if settings.wants_observer:
+        if obs is None and settings.wants_observer:
             from repro.obs import Observer
 
             obs = Observer(
@@ -345,8 +351,8 @@ class PartitionReplica:
         insertion (and hence equal-time dispatch) order regardless of
         how the bundles were concatenated upstream.  Fault-dropped
         messages are injected too: they burn one dispatch and debit
-        this partition's meter at the instant the classic path's
-        arrival event would have.
+        this partition's meter at the instant a local arrival event
+        would have.
         """
         sim = self.engine.sim
         network = self.engine.network
@@ -370,17 +376,21 @@ class PartitionReplica:
 
     # -- driving -----------------------------------------------------------
     def start(self) -> None:
-        """Activate the owned slice (mirrors the classic runner's start
-        sequencing).  Crash plans are applied replica-locally: every
-        replica schedules every window at the same virtual instants, but
-        each applies only the effects its slice owns — owned servers get
-        crashed/recovered for real, owned clients compute the casualty
-        rule from their (authoritative) local state, and foreign hosts
-        are only parked/revived on the network so incarnation counters
-        and ARQ bypass decisions agree across partitions.  Everything
-        else — span takeover, lease failover, liveness eviction of a
-        foreign partition's casualties — travels as protocol messages,
-        exactly as it does between shards of the classic engine."""
+        """Activate the owned slice.  Under a fault plan the periodic
+        machinery gets the full ``drain_ms`` past the workload horizon:
+        spans serialize on their originators' results, so a jittery
+        queue drains slowly and early-frozen pushes would strand them.
+
+        Crash plans are applied replica-locally: every replica schedules
+        every window at the same virtual instants, but each applies only
+        the effects its slice owns — owned servers get crashed/recovered
+        for real, owned clients compute the casualty rule from their
+        (authoritative) local state, and foreign hosts are only
+        parked/revived on the network so incarnation counters and ARQ
+        bypass decisions agree across partitions.  Everything else —
+        span takeover, lease failover, liveness eviction of a foreign
+        partition's casualties — travels as protocol messages, exactly
+        as it does between shards of one replica."""
         settings = self.settings
         engine = self.engine
         plan = settings.fault_plan
@@ -419,8 +429,18 @@ class PartitionReplica:
 
     # -- crash windows (docs/control_plane.md) -----------------------------
     def _crash_shard(self, shard: int) -> None:
-        """Apply one shard-crash window to this replica's slice."""
+        """Apply one shard-crash window to this replica's slice: park
+        the server, take down the casualty clients, then notify the
+        live owned shards (the simulation's perfect failure detector)."""
         engine = self.engine
+        if shard in engine.crashed_shards:
+            raise ProtocolError(f"shard {shard} is already crashed")
+        live = [
+            s for s in engine.shard_servers
+            if s.shard_index != shard and not s._crashed
+        ]
+        if not live:
+            raise ProtocolError("cannot crash the last live shard")
         host_id = shard_host_id(shard)
         server = engine.shard_servers[shard]
         server._crashed = True
@@ -428,14 +448,12 @@ class PartitionReplica:
             server.stop()
         engine.crashed_shards.add(shard)
         engine.network.crash(host_id)
-        for k in self.owned_shards:
-            peer = engine.shard_servers[k]
-            if not peer._crashed:
-                peer.note_shard_down(shard)
-        # Casualties: the client-local rule over *owned* clients only —
-        # a foreign client's attachment state is stale here by design,
-        # so its owner decides; foreign shards that still hold such a
-        # casualty evict it through the ordinary liveness sweep once its
+        # Casualties — attached to the dead shard or migrating toward it
+        # (the transfer may already be in flight into the dead host) —
+        # by the client-local rule over *owned* clients only: a foreign
+        # client's attachment state is stale here by design, so its
+        # owner decides; foreign shards that still hold such a casualty
+        # evict it through the ordinary liveness sweep once its
         # heartbeats stop.
         casualties = []
         for client_id in self.owned_clients:
@@ -451,17 +469,24 @@ class PartitionReplica:
             if engine.network.is_registered(client_id):
                 engine.network.crash(client_id)
             self.workload.stop_client(client_id)
+        owned_live = [
+            engine.shard_servers[k]
+            for k in self.owned_shards
+            if not engine.shard_servers[k]._crashed
+        ]
+        for peer in owned_live:
+            peer.note_shard_down(shard)
         for client_id in casualties:
-            for k in self.owned_shards:
-                peer = engine.shard_servers[k]
-                if not peer._crashed and client_id in peer.clients:
+            for peer in owned_live:
+                if client_id in peer.clients:
                     peer.evict_client(client_id)
-        live = [s for s in engine.shard_servers if not s._crashed]
         for client_id in self.owned_clients:
             if client_id in engine.dead:
                 continue
             client = engine.clients[client_id]
-            if client._rejoin_target == host_id and live:
+            if client._rejoin_target == host_id:
+                # Rejoining toward the shard that just died: redirect
+                # the hello at the first live shard.
                 client._rejoin_target = shard_host_id(live[0].shard_index)
 
     def _restart_shard(self, shard: int) -> None:
@@ -509,12 +534,8 @@ class PartitionReplica:
             next_event=self.engine.sim.next_event_time(),
             quiescent=self._quiescent(),
             now=self.engine.sim.now,
-            elastic_sent=sum(
-                getattr(server, "elastic_sent", 0) for server in servers
-            ),
-            elastic_received=sum(
-                getattr(server, "elastic_received", 0) for server in servers
-            ),
+            elastic_sent=sum(server.elastic_sent for server in servers),
+            elastic_received=sum(server.elastic_received for server in servers),
         )
 
     def run_window(self, end: TimeMs, entries: List[Entry]) -> BarrierReport:
@@ -525,8 +546,8 @@ class PartitionReplica:
 
     def _quiescent(self) -> bool:
         engine = self.engine
-        quarantined = getattr(engine, "quarantined", ())
-        dead = getattr(engine, "dead", ())
+        quarantined = engine.quarantined
+        dead = engine.dead
         for client_id in self.owned_clients:
             if client_id in quarantined or client_id in dead:
                 continue  # evicted/crashed mid-flight; nothing to drain
@@ -539,7 +560,13 @@ class PartitionReplica:
                 continue  # a dead shard drains nothing
             if server._handoffs or server.uncommitted_count:
                 return False
-            if getattr(server, "elastic", None) is not None:
+            if engine.config.liveness is not None and any(
+                client_id in server.clients for client_id in dead
+            ):
+                # A crashed client still attached keeps the run live
+                # until the shard's sweep presumes it dead (§III-C).
+                return False
+            if server.elastic is not None:
                 # A rebalance epoch still open on an owned shard, or a
                 # partition version awaiting drain on the controller.
                 if server._epochs or server._pending_version is not None:
@@ -547,16 +574,21 @@ class PartitionReplica:
         return True
 
     def finish(self, t_stop: TimeMs, deadline: TimeMs) -> PartitionSnapshot:
-        """Stop owned servers, drain the final millisecond, snapshot.
+        """Stop owned servers and heartbeats, drain the final
+        millisecond, snapshot.
 
         Sends to foreign hosts during the drain are discarded — the run
-        is over, exactly as the classic drive leaves same-instant
-        arrivals undispatched in its queue.
+        is over, and same-instant arrivals at the stop are left
+        undispatched locally too.
         """
+        engine = self.engine
         self._discard_remote = True
         for shard in self.owned_shards:
-            self.engine.shard_servers[shard].stop()
-        self.engine.sim.run(until=min(t_stop + 1.0, deadline))
+            engine.shard_servers[shard].stop()
+        for stopper in list(engine._heartbeat_stoppers.values()):
+            stopper()
+        engine._heartbeat_stoppers.clear()
+        engine.sim.run(until=min(t_stop + 1.0, deadline))
         return self.snapshot()
 
     # -- results -----------------------------------------------------------
@@ -584,12 +616,10 @@ class PartitionReplica:
                     span_gsns=dict(server.span_gsns),
                     state=engine.shard_states[shard],
                     cpu_ms=engine.server_hosts[shard].cpu_time_used,
-                    rebalance_log=tuple(getattr(server, "rebalance_log", ())),
+                    rebalance_log=tuple(server.rebalance_log),
                     stripe=tuple(server.partition.bounds(shard)),
                     failover_log=(
-                        tuple(server.lease.log)
-                        if getattr(server, "lease", None) is not None
-                        else ()
+                        tuple(server.lease.log) if server.lease is not None else ()
                     ),
                     crashed=server._crashed,
                 )
@@ -646,10 +676,8 @@ class PartitionReplica:
 class _InlineHandle:
     """A partition replica stepped inline in the coordinator process."""
 
-    def __init__(
-        self, architecture: str, settings, partition: int, workers: int
-    ) -> None:
-        self.replica = PartitionReplica(architecture, settings, partition, workers)
+    def __init__(self, replica: PartitionReplica) -> None:
+        self.replica = replica
         self._reply: Optional[BarrierReport] = None
         self._snapshot: Optional[PartitionSnapshot] = None
 
@@ -760,8 +788,8 @@ def _drive(handles, settings) -> List[PartitionSnapshot]:
     deadline = horizon + settings.drain_ms
     # Shard crashes break elastic-counter conservation by construction:
     # control messages to a dying shard are counted sent but never
-    # received, and a restarted shard's counters reset.  The classic
-    # engine waives the same term when shard windows are armed.
+    # received, and a restarted shard's counters reset, so the term is
+    # waived when shard windows are armed.
     plan = settings.fault_plan
     crash_tolerant = plan is not None and bool(plan.shard_crashes)
 
@@ -789,13 +817,13 @@ def _drive(handles, settings) -> List[PartitionSnapshot]:
             )
         ):
             # Quiescent stop: in-flight bundles are dead (see module
-            # doc).  The elastic-counter conservation term keeps the
-            # stop aligned with the classic drive — a partition update
-            # or region sync between partitions is invisible to every
-            # local predicate while it rides a bundle.
+            # doc).  The elastic-counter conservation term is global —
+            # a partition update or region sync between partitions is
+            # invisible to every local predicate while it rides a
+            # bundle.
             break
         if now >= deadline:
-            break  # drain budget exhausted — classic timeout analog
+            break  # drain budget exhausted
         candidates = [entry[0] for entry in bundles]
         candidates.extend(
             report.next_event
@@ -805,7 +833,7 @@ def _drive(handles, settings) -> List[PartitionSnapshot]:
         if not candidates:
             if now < horizon:
                 # Queues drained early: advance the clock to the
-                # horizon, as the classic run(until=horizon) does.
+                # workload horizon.
                 next_end = horizon
             else:
                 break  # globally idle
@@ -1025,17 +1053,18 @@ def run_partitioned(
 
     Returns ``(merged_engine_view, workload_view)`` for the runner's
     shared measurement pipeline.  ``parallel=False`` steps the replicas
-    inline (the in-process backend's W > 1 mode); ``parallel=True``
-    spawns one worker process per partition.  Per-replica observer
-    telemetry is merged into ``obs`` when one is attached.
+    inline; ``parallel=True`` spawns one worker process per partition,
+    unless there is only one partition, which runs in process.  A
+    single partition records straight into ``obs``; with several, each
+    replica observes on its own and the telemetry is merged into
+    ``obs`` when one is attached.
     """
     workers = resolve_workers(settings)
-    if settings.shards < 2 or workers < 2:
+    if settings.shards < 2:
         raise ConfigurationError(
-            "run_partitioned needs shards > 1 and workers > 1 "
-            f"(got shards={settings.shards}, workers={workers})"
+            f"run_partitioned needs shards > 1 (got shards={settings.shards})"
         )
-    if parallel:
+    if parallel and workers > 1:
         ctx = spawn_context()
         handles: list = [
             _ProcessHandle(architecture, settings, partition, workers, ctx)
@@ -1043,7 +1072,12 @@ def run_partitioned(
         ]
     else:
         handles = [
-            _InlineHandle(architecture, settings, partition, workers)
+            _InlineHandle(
+                PartitionReplica(
+                    architecture, settings, partition, workers,
+                    obs=obs if workers == 1 else None,
+                )
+            )
             for partition in range(workers)
         ]
     try:
@@ -1054,6 +1088,22 @@ def run_partitioned(
     merged = MergedRun(snapshots, settings)
     if obs is not None:
         for snapshot in snapshots:
-            if snapshot.observer is not None:
+            if snapshot.observer is not None and snapshot.observer is not obs:
                 obs.merge_from(snapshot.observer)
     return merged, SimpleNamespace(stats=merged.workload_stats)
+
+
+def run_single_partition(replica: PartitionReplica) -> PartitionSnapshot:
+    """Drive a W = 1 replica through :func:`_drive` to the end of the
+    run, leaving ``replica.engine`` in place for white-box inspection.
+
+    This is the schedule every in-process ``--shards K`` run uses, so
+    tests, benchmarks and the race explorer that need the live engine
+    see exactly the production drain rule.
+    """
+    if replica.workers != 1:
+        raise ConfigurationError(
+            f"run_single_partition needs a replica owning every shard "
+            f"(got workers={replica.workers})"
+        )
+    return _drive([_InlineHandle(replica)], replica.settings)[0]

@@ -2,8 +2,8 @@
 docs/elasticity.md): the planner, the off-path byte-identity contract,
 flash-crowd rebalancing with the cross-shard audits, partition-version
 edge cases (splits racing spans, merges racing handoff drains, lossy
-transport), the windowed-scheduler differential, and the deferred-reply
-replica-gap regression.
+transport), partition-count invariance of the windowed scheduler, and
+the deferred-reply replica-gap regression.
 """
 
 from __future__ import annotations
@@ -12,14 +12,12 @@ import pytest
 
 from repro.core.action import ActionId
 from repro.core.elastic import ElasticConfig, plan_boundaries, stripes_touching
-from repro.core.engine import SeveConfig
-from repro.core.sharded import RegionPartition, ShardedSeveEngine, ShardingConfig
+from repro.core.sharded import RegionPartition
 from repro.errors import ConfigurationError
-from repro.harness.architectures import _reliability_suite, build_world
 from repro.harness.config import SimulationSettings
 from repro.harness.runner import run_simulation
-from repro.harness.workload import MoveWorkload
 from repro.metrics.shard_audit import audit_sharded_run
+from repro.net.backend import PartitionReplica, run_single_partition
 from repro.net.faults import FaultPlan
 
 
@@ -129,45 +127,23 @@ ELASTIC = FLASH.with_(
 LOSSY = FaultPlan(loss_rate=0.05, jitter_ms=40.0, duplicate_rate=0.02, seed=7)
 
 
-def _run_engine(settings, *, elastic=None, plan=None):
-    """Drive one sharded engine directly and return the determinism
+def _elastic(settings=FLASH, *, interval_ms, threshold, hysteresis=2):
+    return settings.with_(
+        elastic=True,
+        elastic_interval_ms=interval_ms,
+        elastic_threshold=threshold,
+        elastic_hysteresis=hysteresis,
+    )
+
+
+def _run_engine(settings):
+    """Run one sharded deployment on the one-partition replica (the
+    in-process ``--shards K`` drive) and return the determinism
     fingerprint (final state, per-client observations) plus the engine
     for white-box assertions."""
-    settings = settings.with_(fault_plan=plan)
-    world = build_world(settings)
-    reliability, retry, _ = _reliability_suite(settings)
-    config = SeveConfig(
-        mode="seve",
-        rtt_ms=settings.rtt_ms,
-        bandwidth_bps=None,
-        omega=settings.omega,
-        tick_ms=settings.tick_ms,
-        threshold=settings.effective_threshold,
-        eval_overhead_ms=settings.eval_overhead_ms,
-        fault_plan=plan,
-        reliability=reliability,
-        retry=retry,
-        record_observations=True,
-    )
-    engine = ShardedSeveEngine(
-        world,
-        settings.num_clients,
-        config,
-        sharding=ShardingConfig(
-            shards=settings.shards,
-            world_width=settings.world_width,
-            elastic=elastic,
-        ),
-    )
-    workload = MoveWorkload(engine, world, settings)
-    horizon = settings.workload_duration_ms + 2 * settings.move_interval_ms
-    if plan is not None:
-        engine.start(stop_at=horizon + 15_000.0)
-    else:
-        engine.start()
-    workload.install()
-    engine.run(until=horizon)
-    engine.run_to_quiescence()
+    replica = PartitionReplica("seve", settings)
+    run_single_partition(replica)
+    engine = replica.engine
     state = {
         oid: tuple(sorted(engine.state.get(oid).as_dict().items()))
         for oid in sorted(engine.state.ids())
@@ -210,8 +186,8 @@ def test_inert_elastic_run_matches_static_fingerprint():
     observation logs as the static run.  Only the control traffic
     (load reports) differs, which the fingerprint excludes."""
     static_state, static_obs, _ = _run_engine(FLASH)
-    inert = ElasticConfig(interval_ms=500.0, threshold=1e9)
-    elastic_state, elastic_obs, engine = _run_engine(FLASH, elastic=inert)
+    inert = _elastic(interval_ms=500.0, threshold=1e9)
+    elastic_state, elastic_obs, engine = _run_engine(inert)
     assert elastic_state == static_state
     assert elastic_obs == static_obs
     assert engine.rebalance_events == ()
@@ -225,9 +201,7 @@ def test_inert_elastic_run_matches_static_fingerprint():
 # Live rebalancing under the flash crowd
 # ---------------------------------------------------------------------------
 def test_flash_crowd_rebalances_and_stays_consistent():
-    _, _, engine = _run_engine(
-        FLASH, elastic=ElasticConfig(interval_ms=500.0, threshold=1.5)
-    )
+    _, _, engine = _run_engine(ELASTIC)
     events = engine.rebalance_events
     assert len(events) >= 1
     for event in events:
@@ -268,10 +242,7 @@ def test_split_while_spans_in_flight():
     rebalances while two-phase spans are continuously in flight; the
     union-of-epochs classification must keep every store consistent."""
     _, _, engine = _run_engine(
-        FLASH,
-        elastic=ElasticConfig(
-            interval_ms=200.0, threshold=1.2, hysteresis=1
-        ),
+        _elastic(interval_ms=200.0, threshold=1.2, hysteresis=1)
     )
     assert len(engine.rebalance_events) >= 2
     spans = sum(
@@ -289,10 +260,12 @@ def test_merge_while_handoff_barrier_drains():
     hysteresis handoffs) of earlier epochs: transfers park behind the
     region-sync fence and every begun handoff still completes."""
     _, _, engine = _run_engine(
-        FLASH.with_(moves_per_client=32),
-        elastic=ElasticConfig(
-            interval_ms=300.0, threshold=1.2, hysteresis=1
-        ),
+        _elastic(
+            FLASH.with_(moves_per_client=32),
+            interval_ms=300.0,
+            threshold=1.2,
+            hysteresis=1,
+        )
     )
     assert len(engine.rebalance_events) >= 2
     bulk = sum(
@@ -320,11 +293,7 @@ def test_merge_while_handoff_barrier_drains():
 def test_elastic_survives_lossy_transport_at_k4():
     """Client links drop/jitter/duplicate while the backbone rebalances
     underneath: drains, syncs, and audits must all still hold."""
-    _, _, engine = _run_engine(
-        FLASH,
-        elastic=ElasticConfig(interval_ms=500.0, threshold=1.5),
-        plan=LOSSY,
-    )
+    _, _, engine = _run_engine(ELASTIC.with_(fault_plan=LOSSY))
     assert len(engine.rebalance_events) >= 1
     _assert_drained(engine)
     audit = audit_sharded_run(engine)
@@ -333,24 +302,39 @@ def test_elastic_survives_lossy_transport_at_k4():
 
 
 # ---------------------------------------------------------------------------
-# Windowed scheduler differential (docs/parallel.md)
+# Partition-count invariance of the windowed scheduler (docs/parallel.md)
 # ---------------------------------------------------------------------------
+def _result_surface(result):
+    return (
+        result.moves_submitted,
+        result.responses_observed,
+        result.response,
+        result.total_traffic_kb,
+        result.client_traffic_kb,
+        result.server_traffic_kb,
+        result.events,
+        result.virtual_ms,
+        result.shard_rows,
+        result.rebalance_events,
+    )
+
+
 @pytest.mark.slow
-def test_windowed_scheduler_matches_classic_with_elastic():
-    """The epoch-barrier coordinator must apply partition updates in
-    the same virtual order as the classic drive: identical rebalance
-    log, identical per-shard load, identical final stripes."""
-    classic = run_simulation("seve", ELASTIC)
-    windowed = run_simulation("seve", ELASTIC.with_(workers=2))
-    assert classic.rebalance_events == windowed.rebalance_events
-    assert [row["serialized"] for row in classic.shard_rows] == [
-        row["serialized"] for row in windowed.shard_rows
+@pytest.mark.parametrize("settings", [FLASH, ELASTIC], ids=["static", "elastic"])
+def test_clean_run_is_identical_at_every_partition_count(settings):
+    """A fault-free run is one schedule whatever the partition count:
+    W=1, 2 and 4 give the same responses, traffic, events, clock,
+    per-shard rows and rebalance log — so the epoch barriers apply
+    partition updates in the same virtual order as one heap does."""
+    single, *spread = [
+        run_simulation("seve", settings.with_(workers=workers))
+        for workers in (1, 2, 4)
     ]
-    assert [row["stripe"] for row in classic.shard_rows] == [
-        row["stripe"] for row in windowed.shard_rows
-    ]
-    assert classic.rebalances >= 1
-    assert windowed.shard_audit.consistent, windowed.shard_audit.summary()
+    for result in spread:
+        assert _result_surface(result) == _result_surface(single)
+    assert single.shard_audit.consistent, single.shard_audit.summary()
+    if settings.elastic:
+        assert single.rebalances >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def test_resolve_workers():
     def settings(**kw):
         return SimulationSettings(**{**BASE, **kw})
 
-    # inproc default: one partition — the classic single-engine path.
+    # inproc default: one partition owning every shard.
     assert resolve_workers(settings(shards=4)) == 1
     # parallel default: one worker per shard.
     assert resolve_workers(settings(shards=4, backend="parallel")) == 4
@@ -111,11 +111,25 @@ def test_worker_of_shard_partitions_contiguously():
             assert owners == sorted(owners)
 
 
-def test_partitioned_run_requires_multiple_shards_and_workers():
+def test_partitioned_run_requires_multiple_shards():
     from repro.net.backend import run_partitioned
 
     with pytest.raises(ConfigurationError):
         run_partitioned("seve", SimulationSettings(**BASE, shards=1), parallel=False)
+
+
+def test_one_partition_parallel_runs_in_process(monkeypatch):
+    # One effective partition leaves nothing to spread over processes:
+    # --backend parallel --workers 1 is the in-process W=1 run.
+    from repro.net import backend
+
+    def no_spawn(*args, **kwargs):
+        raise AssertionError("a one-partition run spawned a worker")
+
+    monkeypatch.setattr(backend, "_ProcessHandle", no_spawn)
+    inproc = run("inproc", shards=2)
+    parallel = run("parallel", shards=2, workers=1)
+    assert result_key(inproc) == result_key(parallel)
 
 
 def test_spawn_context_uses_spawn_start_method():
@@ -157,7 +171,7 @@ def test_parallel_matches_inproc_k2_lossy():
 
 
 def test_parallel_matches_inproc_k1_whole_run():
-    # shards=1 has one partition, so parallel runs the classic path in
+    # shards=1 is not sharded, so parallel runs the unsharded engine in
     # process; results must be identical to the inproc run.
     inproc = run("inproc", shards=1)
     parallel = run("parallel", shards=1)

@@ -19,6 +19,7 @@ from repro.harness.architectures import _reliability_suite, build_engine, build_
 from repro.harness.config import SimulationSettings
 from repro.harness.runner import run_simulation
 from repro.harness.workload import MoveWorkload
+from repro.net.backend import PartitionReplica, run_single_partition
 from repro.net.faults import CrashWindow, FaultPlan, LivenessConfig
 
 
@@ -261,14 +262,9 @@ def test_more_shards_spread_the_serialization_load():
 
 
 def test_all_clients_remain_attached_after_handoffs():
-    world = build_world(SHARDED)
-    engine = build_engine("seve", SHARDED, world)
-    workload = MoveWorkload(engine, world, SHARDED)
-    horizon = SHARDED.workload_duration_ms + 2 * SHARDED.move_interval_ms
-    engine.start()
-    workload.install()
-    engine.run(until=horizon)
-    engine.run_to_quiescence()
+    replica = PartitionReplica("seve", SHARDED)
+    run_single_partition(replica)
+    engine = replica.engine
     assert isinstance(engine, ShardedSeveEngine)
     for client_id in engine.clients:
         assert engine.shard_of_client(client_id) is not None
@@ -471,6 +467,19 @@ def test_client_crash_and_reconnect_under_loss():
     assert result.clients_evicted >= 1
 
 
+@pytest.mark.faults
+def test_clients_evicted_counts_every_shard():
+    """Regression: ``RunResult.clients_evicted`` read only shard 0's
+    liveness sweep.  Client 1 lives on shard 1, so its permanent crash
+    is evicted there — and must still be counted."""
+    plan = FaultPlan(seed=7, crashes=(CrashWindow(1, 1500.0, None),))
+    settings = FAULTED.with_(shards=2, fault_plan=plan)
+    assert PartitionReplica("seve", settings).engine.home_shard(1) == 1
+    result = run_simulation("seve", settings)
+    _assert_survivors_consistent(result)
+    assert result.clients_evicted == 1
+
+
 @pytest.mark.slow
 @pytest.mark.faults
 def test_shard_crash_during_elastic_epochs():
@@ -499,21 +508,22 @@ def test_shard_crash_during_elastic_epochs():
 @pytest.mark.slow
 @pytest.mark.faults
 def test_backends_agree_under_shard_crash():
-    """The acceptance scenario: the same shard-crash plan at K=4 on the
-    classic, windowed, and multiprocessing backends — every backend's
-    audits are green, and the two windowed backends are byte-identical."""
+    """The acceptance scenario: the same shard-crash plan at K=4 on one
+    partition (W=1), four inline partitions, and four worker processes
+    — every run's audits are green, and the two W=4 backends are
+    byte-identical."""
     plan = FaultPlan(
         seed=7, crashes=(CrashWindow(-1, 1500.0, 3500.0, shard_index=2),)
     )
     base = FAULTED.with_(
         shards=4, fault_plan=plan, control_plane="replicated"
     )
-    classic = run_simulation("seve", base)
+    single = run_simulation("seve", base.with_(workers=1))
     windowed = run_simulation("seve", base.with_(workers=4))
     parallel = run_simulation(
         "seve", base.with_(backend="parallel", workers=4)
     )
-    for result in (classic, windowed, parallel):
+    for result in (single, windowed, parallel):
         _assert_survivors_consistent(result)
     for field in (
         "moves_submitted",
